@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .numtheory import circular_convolution, divisors, ramanujan_sum
+from .numtheory import divisors, ramanujan_sum
 
 __all__ = [
     "Channel",
@@ -99,32 +99,58 @@ def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
     return RamanujanFilterBank(N, tuple(Channel(q, p) for q in prof.divisors))
 
 
+def _masks(bank: RamanujanFilterBank) -> np.ndarray:
+    """K×(N//2+1) boolean channel masks over the half spectrum.
+
+    The DFT of c_q is N on the bins f with N / gcd(f, N) = q and 0 elsewhere,
+    so bin f belongs to channel i iff q_i = N / gcd(f, N).  The masks are
+    symmetric under f → N − f and every signal here is real, so the half
+    spectrum of ``numpy.fft.rfft`` carries everything.
+    """
+    f = np.arange(bank.n // 2 + 1)
+    return (bank.n // np.gcd(f, bank.n))[None, :] == np.array(bank.qs)[:, None]
+
+
+def _spectrum(x, bank: RamanujanFilterBank) -> tuple[np.ndarray, np.ndarray]:
+    """One FFT of x and the bank's channel masks: x ∗ c_{q_i} = N·IDFT(X·mask_i).
+
+    Raises
+    ------
+    PreconditionError
+        If x is not a length-N vector or holds NaN or inf.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (bank.n,):
+        raise PreconditionError(f"signal of shape {x.shape} does not match bank N {bank.n}")
+    if not np.isfinite(x).all():
+        raise PreconditionError("signal holds NaN or inf values")
+    return np.fft.rfft(x), _masks(bank)
+
+
 def analyze(x, bank: RamanujanFilterBank) -> list[np.ndarray]:
     """Analysis coefficients y_i(k) = ⟨x, L_{p_i k} c_{q_i}⟩ for every channel.
 
     Equal to the decimated convolution (x ∗ c_{q_i})(p_i k) because Ramanujan
-    sums are even, so the matched filter equals the filter itself.
+    sums are even, so the matched filter equals the filter itself.  The
+    convolutions are N·IDFT(X·mask_i), one FFT of x for the whole bank.
 
     Returns
     -------
     list of numpy.ndarray
         One length-(N/p_i) coefficient array per channel.
     """
-    x = np.asarray(x, dtype=float)
-    if len(x) != bank.n:
-        raise PreconditionError(f"signal length {len(x)} != bank N {bank.n}")
-    out = []
-    for ch in bank.channels:
-        full = circular_convolution(x, ramanujan_sum(ch.q, bank.n).astype(float))
-        out.append(full[:: ch.p].copy())
-    return out
+    X, masks = _spectrum(x, bank)
+    full = bank.n * np.fft.irfft(X * masks, n=bank.n, axis=1)
+    return [full[i, :: ch.p].copy() for i, ch in enumerate(bank.channels)]
 
 
 def synthesize(coeffs, bank: RamanujanFilterBank, A: float | None = None) -> np.ndarray:
     """Reconstruct x = (1/A) Σ_i Σ_k y_i(k) L_{p_i k} c_{q_i} from analysis coefficients.
 
     Valid only for tight banks (synthesis filters equal analysis filters up to
-    the 1/A scaling exactly when the frame is tight).
+    the 1/A scaling exactly when the frame is tight).  In the DFT domain the
+    kept shifts of channel i contribute N·mask_i·tile(DFT_d(y_i), p), so the
+    whole sum is one inverse FFT.
 
     Parameters
     ----------
@@ -158,28 +184,30 @@ def synthesize(coeffs, bank: RamanujanFilterBank, A: float | None = None) -> np.
         raise PreconditionError(
             f"expected {len(bank.channels)} coefficient arrays, got {len(coeffs)}"
         )
-    x = np.zeros(bank.n)
-    for i, ch in enumerate(bank.channels):
-        c = ramanujan_sum(ch.q, bank.n).astype(float)
-        y = np.asarray(coeffs[i], dtype=float)
-        d = bank.n // ch.p
-        if len(y) != d:
-            raise PreconditionError(f"channel {i}: expected {d} coefficients, got {len(y)}")
-        for k in range(d):
-            x += y[k] * np.roll(c, ch.p * k)
-    return x / A
+    N = bank.n
+    d = N // bank.ratio
+    Y = np.empty((len(bank.channels), d))
+    for i, y in enumerate(coeffs):
+        y = np.asarray(y, dtype=float)
+        if y.shape != (d,):
+            raise PreconditionError(f"channel {i}: expected {d} coefficients, got shape {y.shape}")
+        Y[i] = y
+    # DFT_N of the upsampled y_i is DFT_d(y_i) repeated p times: index f mod d
+    f = np.arange(N // 2 + 1)
+    spectrum = (_masks(bank) * np.fft.fft(Y, axis=1)[:, f % d]).sum(axis=0)
+    return N * np.fft.irfft(spectrum, n=N) / A
 
 
 def channel_energies(x, bank: RamanujanFilterBank) -> np.ndarray:
-    """Full (undecimated) channel output energies E_i = ‖x ∗ c_{q_i}‖²."""
-    x = np.asarray(x, dtype=float)
-    if len(x) != bank.n:
-        raise PreconditionError(f"signal length {len(x)} != bank N {bank.n}")
-    energies = np.empty(len(bank.channels))
-    for i, ch in enumerate(bank.channels):
-        full = circular_convolution(x, ramanujan_sum(ch.q, bank.n).astype(float))
-        energies[i] = float(full @ full)
-    return energies
+    """Full (undecimated) channel output energies E_i = ‖x ∗ c_{q_i}‖².
+
+    By Parseval E_i = N·Σ_{f ∈ mask_i} |X(f)|² over the full spectrum; the
+    half spectrum counts every bin other than 0 and N/2 twice.
+    """
+    X, masks = _spectrum(x, bank)
+    power = np.abs(X) ** 2
+    power[1 : (bank.n + 1) // 2] *= 2.0
+    return bank.n * (masks @ power)
 
 
 def identify_period(x, N: int | None = None, zero_tol: float = 1e-8) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .filterbank import RamanujanFilterBank, uniform_bank
-from .numtheory import divisors, ramanujan_sum
+from .numtheory import divisors
 
 __all__ = [
     "zak",
@@ -56,10 +56,7 @@ def zak(x, p: int) -> np.ndarray:
         raise PreconditionError(f"stride p={p} must divide N={N}")
     d = N // p
     # x(pℓ+n) laid out as a d×p array, ℓ down the rows
-    X = x.reshape(d, p)
-    m = np.arange(d)
-    W = np.exp(-2j * np.pi * np.outer(m, m) / d) / math.sqrt(d)
-    return W @ X.astype(complex)
+    return np.fft.fft(x.reshape(d, p), axis=0, norm="ortho")
 
 
 def zak_inverse(Z) -> np.ndarray:
@@ -68,10 +65,7 @@ def zak_inverse(Z) -> np.ndarray:
     if Z.ndim != 2:
         raise PreconditionError(f"expected a d×p matrix, got shape {Z.shape}")
     d, p = Z.shape
-    m = np.arange(d)
-    Winv = np.exp(2j * np.pi * np.outer(m, m) / d) / math.sqrt(d)
-    X = Winv @ Z
-    return X.reshape(d * p)
+    return np.fft.ifft(Z, axis=0, norm="ortho").reshape(d * p)
 
 
 def polyphase_matrix(bank: RamanujanFilterBank, m: int) -> np.ndarray:
@@ -90,37 +84,17 @@ def polyphase_matrix(bank: RamanujanFilterBank, m: int) -> np.ndarray:
 
 
 def _polyphase_stack(bank: RamanujanFilterBank) -> np.ndarray:
-    """All U(m) at once: a (d, K, p) complex array."""
+    """All U(m) at once: a (d, K, p) complex array.
+
+    U(m)[i, n] = Σ_ℓ c_{q_i}(pℓ + n) e^{2πimℓ/d} is the conjugate of the DFT
+    along ℓ of the real d×p array c_{q_i}(pℓ + n), one FFT for the bank.
+    """
     if not bank.uniform:
         raise PreconditionError("polyphase analysis requires a uniform bank")
     p = bank.ratio
-    N = bank.n
-    d = N // p
-    mm = np.arange(d)
-    E = np.exp(2j * np.pi * np.outer(mm, mm) / d)  # E[m, ℓ]
-    out = np.empty((d, len(bank.channels), p), dtype=complex)
-    for i, ch in enumerate(bank.channels):
-        C = ramanujan_sum(ch.q, N).astype(float).reshape(d, p)
-        out[:, i, :] = E @ C
-    return out
-
-
-def _hermitian_eigs(G: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a small Hermitian p×p matrix.
-
-    Closed forms for p ∈ {1, 2}; LAPACK for anything larger.
-    """
-    p = G.shape[0]
-    if p == 1:
-        return np.array([G[0, 0].real])
-    if p == 2:
-        a = G[0, 0].real
-        c = G[1, 1].real
-        b = G[0, 1]
-        half_tr = 0.5 * (a + c)
-        disc = math.sqrt(max(0.25 * (a - c) ** 2 + (b * b.conjugate()).real, 0.0))
-        return np.array([half_tr - disc, half_tr + disc])
-    return np.linalg.eigvalsh(G)
+    d = bank.n // p
+    C = np.array([c.reshape(d, p) for c in bank.filters()], dtype=float)  # (K, d, p)
+    return np.fft.fft(C, axis=1).conj().transpose(1, 0, 2)
 
 
 @dataclass(frozen=True)
@@ -178,27 +152,19 @@ def frame_report(bank: RamanujanFilterBank, cross_validate: bool = False) -> Fra
         Cross-validation mismatch (should never happen).
     """
     stack = _polyphase_stack(bank)
-    d, K, p = stack.shape
-    ranks = []
-    eigs_per_m = []
-    lo, hi = math.inf, -math.inf
-    for m in range(d):
-        U = stack[m]
-        G = U.conj().T @ U
-        eigs = _hermitian_eigs(G)
-        eigs_per_m.append(tuple(float(e) for e in eigs))
-        lo = min(lo, eigs[0])
-        hi = max(hi, eigs[-1])
-        sv = np.sqrt(np.clip(eigs, 0.0, None))
-        smax = sv[-1]
-        ranks.append(int(np.sum(sv > RANK_RTOL * smax)) if smax > 0 else 0)
+    p = stack.shape[2]
+    eigs = np.linalg.eigvalsh(stack.conj().transpose(0, 2, 1) @ stack)  # ascending, (d, p)
+    # numerical rank from the singular values of U(m) itself: the square roots
+    # of the Gram eigenvalues carry √ε-sized noise where U(m) is singular
+    sv = np.linalg.svd(stack, compute_uv=False)
+    ranks = tuple(np.sum(sv > RANK_RTOL * sv[:, :1], axis=1).tolist())
     is_frame = all(r == p for r in ranks)
-    A = float(lo)
-    B = float(hi)
+    A = float(eigs[:, 0].min())
+    B = float(eigs[:, -1].max())
     tight = bool(is_frame and B > 0 and (B - A) <= 1e-9 * B)
     report = FrameReport(
         n=bank.n, p=p, A=A, B=B, tight=tight, is_frame=is_frame,
-        ranks=tuple(ranks), per_m_eigs=tuple(eigs_per_m),
+        ranks=ranks, per_m_eigs=tuple(map(tuple, eigs.tolist())),
     )
     if cross_validate:
         _cross_validate(bank, report)

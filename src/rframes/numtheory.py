@@ -12,7 +12,6 @@ the test suite as an independent oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,13 +163,14 @@ def ramanujan_sum(q: int, N: int) -> np.ndarray:
         raise PreconditionError(f"need q >= 1 and N >= 1, got q={q}, N={N}")
     if N % q:
         raise PreconditionError(f"q={q} does not divide N={N}")
-    phi_q = totient(q)
-    period = np.empty(q, dtype=np.int64)
-    for n in range(q):
-        g = math.gcd(n, q)
-        m = q // g
+    # one Hölder value per divisor m of q, looked up by the order q // gcd(n, q)
+    prof = divisors(q)
+    phi_q = prof.totients[-1]
+    table = np.zeros(q + 1, dtype=np.int64)
+    for m, phi_m in zip(prof.divisors, prof.totients):
         # integer-exact: φ(m) | φ(q) for m | q
-        period[n] = mobius(m) * (phi_q // totient(m))
+        table[m] = mobius(m) * (phi_q // phi_m)
+    period = table[q // np.gcd(np.arange(q), q)]
     return np.tile(period, N // q)
 
 
@@ -182,8 +182,9 @@ def circular_shift(x, m: int) -> np.ndarray:
 def circular_convolution(x, h) -> np.ndarray:
     """Circular convolution on Z_N, (x ∗ h)(n) = Σ_m x(m) h(n − m).
 
-    Computed by the direct O(N²) sum — the package trades speed for exactness
-    and has no FFT anywhere.
+    Computed by the direct O(N²) sum.  The filter banks go through the DFT
+    channel masks instead; this routine is the O(N²) oracle they are tested
+    against.
     """
     x = np.asarray(x)
     h = np.asarray(h)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .filterbank import Channel, RamanujanFilterBank, uniform_bank
-from .frames import classify_theorem_case, frame_operator
+from .frames import classify_theorem_case, frame_operator, frame_report, zak
 from .numtheory import divisors, ramanujan_sum, totient
 
 __all__ = [
@@ -321,27 +321,25 @@ def filterbank_erasure_margin(bank: RamanujanFilterBank, j: int, m: int) -> floa
     for every m; the q=1 channel always has margin exactly 0 at m=0, which is
     why no uniform tight bank tolerates a full channel erasure.
     """
-    from .frames import frame_report, zak
+    margins = channel_erasure_margins(bank, j)
+    if not 0 <= m < len(margins):
+        raise PreconditionError(f"frequency index {m} outside Z_{len(margins)}")
+    return float(margins[m])
 
+
+def channel_erasure_margins(bank: RamanujanFilterBank, j: int) -> np.ndarray:
+    """Margins of channel j at every frequency m ∈ Z_d, from one report and one Zak image."""
     if not bank.uniform:
         raise PreconditionError("channel-erasure margins need a uniform bank")
     report = frame_report(bank)
     if not report.tight:
         raise PreconditionError(f"bank (N={bank.n}, p={bank.ratio}) is not tight")
-    p = bank.ratio
-    d = bank.n // p
     if not 0 <= j < len(bank.channels):
         raise PreconditionError(f"channel index {j} out of range")
-    if not 0 <= m < d:
-        raise PreconditionError(f"frequency index {m} outside Z_{d}")
+    p = bank.ratio
+    d = bank.n // p
     Z = zak(ramanujan_sum(bank.channels[j].q, bank.n).astype(float), p)
-    return float(1.0 - (d / report.A) * np.sum(np.abs(Z[m, :]) ** 2))
-
-
-def channel_erasure_margins(bank: RamanujanFilterBank, j: int) -> np.ndarray:
-    """Margins of channel j at every frequency m ∈ Z_d."""
-    d = bank.n // bank.ratio
-    return np.array([filterbank_erasure_margin(bank, j, m) for m in range(d)])
+    return 1.0 - (d / report.A) * np.sum(np.abs(Z) ** 2, axis=1)
 
 
 def _erased_vectors(p: int, N: int, erased) -> np.ndarray:

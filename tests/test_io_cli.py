@@ -171,6 +171,16 @@ def test_cli_period_id(tmp_path, capsys):
     assert set(resp["responding"]) == {3, 5}
 
 
+def test_cli_period_id_rejects_nan(tmp_path, capsys):
+    sig = tmp_path / "x.csv"
+    sig.write_text("1\n2\nnan\n4\n1\n2\n")
+    assert main(["period-id", "--signal", str(sig), "--out", str(tmp_path / "pid")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN or inf" in captured.err
+    assert not (tmp_path / "pid" / "response.json").exists()
+
+
 def test_cli_recover_round_trip(tmp_path, capsys):
     from rframes.experiments import sparse_top_channel
 

@@ -78,6 +78,17 @@ def test_ramanujan_sum_listing_values():
     assert ramanujan_sum(2, 2).tolist() == [1, -1]
 
 
+def test_ramanujan_sum_matches_per_sample_holder_loop():
+    # the divisor lookup gives the integers of the per-sample evaluation,
+    # c_q(n) = μ(m)·φ(q)/φ(m) with m = q / gcd(n, q), bit for bit
+    for N in [*range(1, 61), 2310]:
+        for q in divisors(N).divisors:
+            want = [mobius(q // math.gcd(n, q)) * (totient(q) // totient(q // math.gcd(n, q)))
+                    for n in range(N)]
+            got = ramanujan_sum(q, N)
+            assert got.dtype == np.int64 and got.tolist() == want, (q, N)
+
+
 def test_ramanujan_sum_requires_divisor():
     with pytest.raises(PreconditionError):
         ramanujan_sum(3, 4)

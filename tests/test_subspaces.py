@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import dft_subspace_projector
+import rframes.subspaces as sub
+from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
     PreconditionError,
     aliasing_divisors,
@@ -153,6 +154,26 @@ def test_margins_match_direct_eigenvalues():
         margins = channel_erasure_margins(bank, j)
         assert len(margins) == 8
         assert margins.min() > -1e-12
+
+
+@pytest.mark.parametrize("N,p", [(210, 2), (105, 1)])
+def test_channel_margins_from_one_report(N, p, monkeypatch):
+    bank = uniform_bank(N, p)
+    d = N // p
+    E = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
+    reports = []
+    real_report = sub.frame_report
+    monkeypatch.setattr(sub, "frame_report", lambda b: reports.append(b) or real_report(b))
+    for j, q in enumerate(bank.qs):
+        reports.clear()
+        margins = channel_erasure_margins(bank, j)
+        assert len(reports) == 1
+        # Σ_n |Σ_ℓ c(pℓ + n) e^{−2πimℓ/d}|² / d over the tight bound p·d²
+        energy = np.sum(np.abs(E @ trig_ramanujan(q, N).reshape(d, p)) ** 2, axis=1) / d
+        assert np.abs(margins - (1 - energy / (p * d))).max() <= 1e-12
+    dc = channel_erasure_margins(bank, 0)  # q = 1
+    assert [filterbank_erasure_margin(bank, 0, m) for m in range(d)] == dc.tolist()
+    assert abs(dc[0]) <= 1e-12
 
 
 def test_margin_preconditions():
