@@ -21,6 +21,7 @@ from .errors import PreconditionError, SolverError
 from .experiments import run_erasures, run_examples, run_fusion, run_tables
 from .filterbank import (
     RamanujanFilterBank,
+    _checked_pairs,
     channel_energies,
     identify_period,
     uniform_bank,
@@ -110,13 +111,9 @@ def cmd_frame_check(args) -> int:
     bank = _bank_from(args)
     report = frame_report(bank, cross_validate=True)
     body = frame_report_dict(report)
-    if bank.uniform:
-        case = classify_theorem_case(bank.n, bank.ratio)
-        print(f"N={bank.n} p={bank.ratio}: {case.case} (A={report.A:.6g}, "
-              f"B={report.B:.6g})")
-    else:
-        kind = "frame" if report.is_frame else "not a frame"
-        print(f"N={bank.n} mixed ratios: {kind} (A={report.A:.6g}, B={report.B:.6g})")
+    case = classify_theorem_case(bank.n, bank.ratio)
+    print(f"N={bank.n} p={bank.ratio}: {case.case} (A={report.A:.6g}, "
+          f"B={report.B:.6g})")
     request = {"command": "frame-check", "n": bank.n,
                "channels": [{"q": ch.q, "p": ch.p} for ch in bank.channels]}
     _dump(_outdir(args), request, body)
@@ -150,7 +147,7 @@ def cmd_recover(args) -> int:
         raise PreconditionError(
             f"signal length {len(x)} does not match bank N={bank.n}"
         )
-    missing = read_pairs(args.missing)
+    missing = _checked_pairs(bank, read_pairs(args.missing))
     missing_set = set(missing)
     retained = [pr for pr in all_pairs(bank) if pr not in missing_set]
     observed = truncated_sum(x, retained, bank)

@@ -4,22 +4,28 @@ A bank is a list of channels (q_i, p_i): channel i filters with the q_i-th
 Ramanujan sum and keeps every p_i-th output.  Uniform banks (all p_i equal)
 are the ones with polyphase/frame diagnostics; non-uniform banks arise from
 the rank-repair construction in :mod:`rframes.subspaces`.
+
+A bank owns its linear operator: the filter matrix, the frame report and
+the tight bound are derived once per bank object, and
+:func:`coefficient_rows` is the one builder of shifted filters.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError
-from .numtheory import divisors, ramanujan_sum
+from .numtheory import _bin_channel, divisors, ramanujan_sum
 
 __all__ = [
     "Channel",
     "RamanujanFilterBank",
     "uniform_bank",
+    "coefficient_rows",
     "analyze",
     "synthesize",
     "channel_energies",
@@ -78,15 +84,34 @@ class RamanujanFilterBank:
         """The channel filters c_{q_i} as length-N integer vectors."""
         return [ramanujan_sum(ch.q, self.n) for ch in self.channels]
 
+    @cached_property
+    def filter_matrix(self) -> np.ndarray:
+        """K×N float matrix with row i = c_{q_i}, built once per bank."""
+        return np.array(self.filters(), dtype=float)
+
+    @cached_property
+    def report(self):
+        """The bank's :class:`~rframes.frames.FrameReport`, computed once per bank."""
+        from .frames import frame_report  # local import to avoid a cycle
+
+        return frame_report(self)
+
+    def tight_bound(self) -> float:
+        """The tight frame bound A of the bank's report.
+
+        Raises
+        ------
+        PreconditionError
+            If the bank is not uniform and tight.
+        """
+        if not self.report.tight:
+            raise PreconditionError(f"bank (N={self.n}, p={self.ratio}) is not tight")
+        return self.report.A
+
     def shifts(self, i: int) -> np.ndarray:
         """All kept shifts of channel i as columns: N × (N/p_i) matrix of L_{p_i k} c_{q_i}."""
-        c = ramanujan_sum(self.channels[i].q, self.n)
-        p = self.channels[i].p
-        d = self.n // p
-        cols = np.empty((self.n, d))
-        for k in range(d):
-            cols[:, k] = np.roll(c, p * k)
-        return cols
+        d = self.n // self.channels[i].p
+        return coefficient_rows(self, [(k, i) for k in range(d)]).T
 
 
 def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
@@ -99,6 +124,44 @@ def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
     return RamanujanFilterBank(N, tuple(Channel(q, p) for q in prof.divisors))
 
 
+def _checked_pairs(bank: RamanujanFilterBank, pairs) -> list[tuple[int, int]]:
+    """The (k, i) pairs as ints, each with i < K and k ∈ Z_{N/p_i}, none repeated."""
+    K = len(bank.channels)
+    out: list[tuple[int, int]] = []
+    seen = set()
+    for k, i in pairs:
+        k, i = int(k), int(i)
+        if not 0 <= i < K:
+            raise PreconditionError(f"channel index {i} out of range (K={K})")
+        d = bank.n // bank.channels[i].p
+        if not 0 <= k < d:
+            raise PreconditionError(f"shift index {k} outside Z_{d}")
+        if (k, i) in seen:
+            raise PreconditionError(f"duplicate coefficient pair {(k, i)}")
+        seen.add((k, i))
+        out.append((k, i))
+    return out
+
+
+def coefficient_rows(bank: RamanujanFilterBank, pairs) -> np.ndarray:
+    """Matrix with rows (L_{p_i k} c_{q_i})ᵀ, so (rows @ x)_j is the j-th coefficient.
+
+    Each pair (k, i) is shift k ∈ Z_{N/p_i} of channel i at the channel's own
+    ratio p_i, so non-uniform banks work too.  L_s c(n) = c((n − s) mod N).
+
+    Raises
+    ------
+    PreconditionError
+        If a pair is out of range or repeated.
+    """
+    pairs = _checked_pairs(bank, pairs)
+    if not pairs:
+        return np.empty((0, bank.n))
+    k, i = np.array(pairs).T
+    shift = k * np.array([ch.p for ch in bank.channels])[i]
+    return bank.filter_matrix[i[:, None], (np.arange(bank.n) - shift[:, None]) % bank.n]
+
+
 def _masks(bank: RamanujanFilterBank) -> np.ndarray:
     """K×(N//2+1) boolean channel masks over the half spectrum.
 
@@ -108,11 +171,11 @@ def _masks(bank: RamanujanFilterBank) -> np.ndarray:
     spectrum of ``numpy.fft.rfft`` carries everything.
     """
     f = np.arange(bank.n // 2 + 1)
-    return (bank.n // np.gcd(f, bank.n))[None, :] == np.array(bank.qs)[:, None]
+    return _bin_channel(f, bank.n)[None, :] == np.array(bank.qs)[:, None]
 
 
-def _spectrum(x, bank: RamanujanFilterBank) -> tuple[np.ndarray, np.ndarray]:
-    """One FFT of x and the bank's channel masks: x ∗ c_{q_i} = N·IDFT(X·mask_i).
+def _checked_signal(x, bank: RamanujanFilterBank) -> np.ndarray:
+    """x as a float vector.
 
     Raises
     ------
@@ -124,7 +187,12 @@ def _spectrum(x, bank: RamanujanFilterBank) -> tuple[np.ndarray, np.ndarray]:
         raise PreconditionError(f"signal of shape {x.shape} does not match bank N {bank.n}")
     if not np.isfinite(x).all():
         raise PreconditionError("signal holds NaN or inf values")
-    return np.fft.rfft(x), _masks(bank)
+    return x
+
+
+def _spectrum(x, bank: RamanujanFilterBank) -> tuple[np.ndarray, np.ndarray]:
+    """One FFT of x and the bank's channel masks: x ∗ c_{q_i} = N·IDFT(X·mask_i)."""
+    return np.fft.rfft(_checked_signal(x, bank)), _masks(bank)
 
 
 def analyze(x, bank: RamanujanFilterBank) -> list[np.ndarray]:
@@ -167,19 +235,11 @@ def synthesize(coeffs, bank: RamanujanFilterBank, A: float | None = None) -> np.
     PreconditionError
         If the bank is not uniform+tight, or A disagrees with the certified bound.
     """
-    from .frames import frame_report  # local import to avoid a cycle
-
-    if not bank.uniform:
-        raise PreconditionError("synthesis requires a uniform tight bank")
-    report = frame_report(bank)
-    if not report.tight:
-        raise PreconditionError(
-            f"bank (N={bank.n}, p={bank.ratio}) is not tight; synthesize is undefined"
-        )
+    bound = bank.tight_bound()
     if A is None:
-        A = report.A
-    elif not math.isclose(A, report.A, rel_tol=1e-9):
-        raise PreconditionError(f"supplied A={A} does not match tight bound {report.A}")
+        A = bound
+    elif not math.isclose(A, bound, rel_tol=1e-9):
+        raise PreconditionError(f"supplied A={A} does not match tight bound {bound}")
     if len(coeffs) != len(bank.channels):
         raise PreconditionError(
             f"expected {len(bank.channels)} coefficient arrays, got {len(coeffs)}"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .filterbank import RamanujanFilterBank, uniform_bank
-from .numtheory import divisors
+from .numtheory import _bin_channel, divisors
 
 __all__ = [
     "zak",
@@ -34,9 +34,6 @@ __all__ = [
     "classify_theorem_case",
     "zak_value_oracle",
 ]
-
-# relative singular-value cutoff for numerical rank decisions
-RANK_RTOL = 1e-10
 
 
 def zak(x, p: int) -> np.ndarray:
@@ -93,7 +90,7 @@ def _polyphase_stack(bank: RamanujanFilterBank) -> np.ndarray:
         raise PreconditionError("polyphase analysis requires a uniform bank")
     p = bank.ratio
     d = bank.n // p
-    C = np.array([c.reshape(d, p) for c in bank.filters()], dtype=float)  # (K, d, p)
+    C = bank.filter_matrix.reshape(-1, d, p)  # (K, d, p)
     return np.fft.fft(C, axis=1).conj().transpose(1, 0, 2)
 
 
@@ -152,12 +149,14 @@ def frame_report(bank: RamanujanFilterBank, cross_validate: bool = False) -> Fra
         Cross-validation mismatch (should never happen).
     """
     stack = _polyphase_stack(bank)
-    p = stack.shape[2]
+    d, _, p = stack.shape
     eigs = np.linalg.eigvalsh(stack.conj().transpose(0, 2, 1) @ stack)  # ascending, (d, p)
-    # numerical rank from the singular values of U(m) itself: the square roots
-    # of the Gram eigenvalues carry √ε-sized noise where U(m) is singular
-    sv = np.linalg.svd(stack, compute_uv=False)
-    ranks = tuple(np.sum(sv > RANK_RTOL * sv[:, :1], axis=1).tolist())
+    # U(m)[i, n] = d·Σ_j mask_i(f_j)·e^{2πi f_j n/N} over the bins f_j = −m + jd,
+    # j < p: a 0/1 bin-ownership matrix times an invertible Vandermonde, so
+    # rank U(m) is the number of the bank's channels among those p bins.
+    owners = _bin_channel((np.arange(p) * d - np.arange(d)[:, None]) % bank.n, bank.n)
+    qs = set(bank.qs)
+    ranks = tuple(len(qs.intersection(row)) for row in owners.tolist())
     is_frame = all(r == p for r in ranks)
     A = float(eigs[:, 0].min())
     B = float(eigs[:, -1].max())

@@ -130,11 +130,13 @@ def read_signal(path: str) -> np.ndarray:
         obj = _load_json(path)
         if not isinstance(obj, dict) or "values" not in obj:
             raise PreconditionError(f"{path}: signal JSON needs a 'values' field")
-        values = np.asarray(obj["values"], dtype=float)
-        if "n" in obj and int(obj["n"]) != len(values):
-            raise PreconditionError(
-                f"{path}: declared n={obj['n']} but {len(values)} values"
-            )
+        try:
+            values = np.asarray(obj["values"], dtype=float)
+            declared = int(obj.get("n", len(values)))
+        except (TypeError, ValueError) as exc:
+            raise PreconditionError(f"{path}: non-numeric entry in signal JSON") from exc
+        if declared != len(values):
+            raise PreconditionError(f"{path}: declared n={declared} but {len(values)} values")
         return values
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]

@@ -174,6 +174,15 @@ def ramanujan_sum(q: int, N: int) -> np.ndarray:
     return np.tile(period, N // q)
 
 
+def _bin_channel(f, N: int):
+    """The channel q = N / gcd(f, N) that owns DFT bin f of Z_N.
+
+    The DFT of c_q is N on exactly the bins with N / gcd(f, N) = q, so every
+    bin belongs to one divisor channel; exact ranks are counts over this map.
+    """
+    return N // np.gcd(f, N)
+
+
 def circular_shift(x, m: int) -> np.ndarray:
     """(L_m x)(n) = x(n − m mod N); m may be any integer."""
     return np.roll(np.asarray(x), m)

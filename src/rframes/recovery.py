@@ -22,9 +22,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .filterbank import RamanujanFilterBank, analyze, channel_energies
-from .frames import frame_report
-from .numtheory import divisors, ramanujan_sum, totient
+from .filterbank import (
+    RamanujanFilterBank,
+    _checked_pairs,
+    _checked_signal,
+    analyze,
+    channel_energies,
+    coefficient_rows,
+    uniform_bank,
+)
+from .numtheory import divisors, totient
 from .simplex import l1_fit, solve_l1_lp
 
 __all__ = [
@@ -78,7 +85,7 @@ def uncertainty_report(
 ) -> UncertaintyReport:
     """Count coefficient/sample supports of x and check the uncertainty bounds."""
     x = np.asarray(x, dtype=float)
-    _require_tight(bank)
+    bank.tight_bound()
     if not np.any(x):
         raise PreconditionError("uncertainty counts need a nonzero signal")
     coeffs = np.concatenate(analyze(x, bank))
@@ -103,47 +110,10 @@ def uncertainty_report(
 # coefficient plumbing
 
 
-def _require_tight(bank: RamanujanFilterBank) -> float:
-    report = frame_report(bank)
-    if not report.tight:
-        raise PreconditionError(
-            f"(N={bank.n}, p={bank.ratio if bank.uniform else '?'}) bank is not tight"
-        )
-    return report.A
-
-
 def all_pairs(bank: RamanujanFilterBank) -> list[tuple[int, int]]:
     """Every (shift k, channel i) pair of a uniform bank, channel-major."""
     d = bank.n // bank.ratio
     return [(k, i) for i in range(len(bank.channels)) for k in range(d)]
-
-
-def _validate_pairs(bank: RamanujanFilterBank, pairs) -> list[tuple[int, int]]:
-    d = bank.n // bank.ratio
-    K = len(bank.channels)
-    out: list[tuple[int, int]] = []
-    seen = set()
-    for k, i in pairs:
-        k, i = int(k), int(i)
-        if not 0 <= i < K:
-            raise PreconditionError(f"channel index {i} out of range (K={K})")
-        if not 0 <= k < d:
-            raise PreconditionError(f"shift index {k} outside Z_{d}")
-        if (k, i) in seen:
-            raise PreconditionError(f"duplicate coefficient pair {(k, i)}")
-        seen.add((k, i))
-        out.append((k, i))
-    return out
-
-
-def coefficient_rows(bank: RamanujanFilterBank, pairs) -> np.ndarray:
-    """Matrix with rows (L_{pk} c_{q_i})ᵀ, so (rows @ x)_j is the j-th coefficient."""
-    p = bank.ratio
-    filters = [f.astype(float) for f in bank.filters()]
-    R = np.empty((len(pairs), bank.n))
-    for j, (k, i) in enumerate(pairs):
-        R[j] = np.roll(filters[i], p * k)
-    return R
 
 
 def truncated_sum(x, pairs, bank: RamanujanFilterBank) -> np.ndarray:
@@ -153,11 +123,8 @@ def truncated_sum(x, pairs, bank: RamanujanFilterBank) -> np.ndarray:
     pairs missing it is the lossy partial sum the recovery problems start
     from.
     """
-    x = np.asarray(x, dtype=float)
-    A = _require_tight(bank)
-    pairs = _validate_pairs(bank, pairs)
-    if not pairs:
-        return np.zeros(bank.n)
+    x = _checked_signal(x, bank)
+    A = bank.tight_bound()
     R = coefficient_rows(bank, pairs)
     return (R.T @ (R @ x)) / A
 
@@ -191,13 +158,12 @@ def recover_missing(observed, pairs, bank: RamanujanFilterBank) -> np.ndarray:
     pairs : iterable of (k, i)
         The retained coefficient set 𝒥.
     """
-    A = _require_tight(bank)
-    pairs = _validate_pairs(bank, pairs)
-    if not pairs:
-        return np.zeros(bank.n)
+    observed = _checked_signal(observed, bank)
+    A = bank.tight_bound()
     R = coefficient_rows(bank, pairs)
-    b = _pinned_coefficients(observed, R.T, A)
-    return solve_l1_lp(R, b).x
+    if not len(R):
+        return np.zeros(bank.n)
+    return solve_l1_lp(R, _pinned_coefficients(observed, R.T, A)).x
 
 
 def recover_missing_periodic(
@@ -210,32 +176,23 @@ def recover_missing_periodic(
     x′ to vanish (φ(q) consecutive shifts already span the channel's
     subspace).  Note q = 1 — the mean — is zeroed too unless listed.
     """
-    A = _require_tight(bank)
-    pairs = _validate_pairs(bank, pairs)
+    observed = _checked_signal(observed, bank)
+    A = bank.tight_bound()
+    R = coefficient_rows(bank, pairs)
     prof = divisors(bank.n)
     periods = sorted(set(int(q) for q in periods))
     for q in periods:
         if q not in prof.divisors:
             raise PreconditionError(f"period {q} is not a divisor of N={bank.n}")
-    kill_rows = []
-    for q in prof.divisors:
-        if q in periods:
-            continue
-        c = ramanujan_sum(q, bank.n).astype(float)
-        for ell in range(totient(q)):
-            kill_rows.append(np.roll(c, ell))
-    blocks = []
-    rhs_parts = []
-    if pairs:
-        R = coefficient_rows(bank, pairs)
-        blocks.append(R)
-        rhs_parts.append(_pinned_coefficients(observed, R.T, A))
-    if kill_rows:
-        blocks.append(np.array(kill_rows))
-        rhs_parts.append(np.zeros(len(kill_rows)))
-    if not blocks:
+    kill = coefficient_rows(uniform_bank(bank.n, 1), [
+        (ell, i) for i, q in enumerate(prof.divisors) if q not in periods
+        for ell in range(totient(q))
+    ])
+    rows = np.vstack([R, kill])
+    if not len(rows):
         return np.zeros(bank.n)
-    return solve_l1_lp(np.vstack(blocks), np.concatenate(rhs_parts)).x
+    pinned = _pinned_coefficients(observed, R.T, A) if len(R) else []
+    return solve_l1_lp(rows, np.concatenate([pinned, np.zeros(len(kill))])).x
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +205,7 @@ def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     Computed as the numerical null space (SVD, cutoff 1e−10·σ_max) of the
     complement's coefficient rows.
     """
-    keep = set(_validate_pairs(bank, pairs))
+    keep = set(_checked_pairs(bank, pairs))
     complement = [pr for pr in all_pairs(bank) if pr not in keep]
     if not complement:
         return np.eye(bank.n)
@@ -272,8 +229,8 @@ def denoise(y, membership, bank: RamanujanFilterBank) -> np.ndarray:
         Coefficient pairs allowed to be nonzero; everything else is
         constrained to zero output.
     """
-    y = np.asarray(y, dtype=float)
-    _require_tight(bank)
+    y = _checked_signal(y, bank)
+    bank.tight_bound()
     pairs = getattr(membership, "pairs", membership)
     B = membership_null_basis(bank, pairs)
     z = l1_fit(B, y).x

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, PreconditionError
-from .filterbank import Channel, RamanujanFilterBank, uniform_bank
-from .frames import classify_theorem_case, frame_operator, frame_report, zak
-from .numtheory import divisors, ramanujan_sum, totient
+from .filterbank import Channel, RamanujanFilterBank, coefficient_rows, uniform_bank
+from .frames import frame_operator, zak
+from .numtheory import _bin_channel, _factorize, divisors, totient
 
 __all__ = [
     "RamanujanSubspace",
@@ -39,20 +39,6 @@ __all__ = [
     "fusion_after_local_erasures",
 ]
 
-_RANK_RTOL = 1e-10
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def _check_stride(p: int, N: int) -> None:
     """Strides with a full orthogonal divisor decomposition: p=1 always, p=2 for N=2·odd."""
     if p == 1:
@@ -71,7 +57,7 @@ class RamanujanSubspace:
     """S_{p,q} ⊂ ℓ²(Z_N) with its natural (non-orthogonal) shift basis.
 
     basis columns are L_{pk} c_q for k = 0..φ(q)−1; rank φ(q) is verified at
-    construction.
+    construction (exactly, by :func:`_shift_rank`).
     """
 
     p: int
@@ -99,18 +85,28 @@ def subspace_basis(p: int, q: int, N: int) -> RamanujanSubspace:
     _check_stride(p, N)
     if N % q:
         raise PreconditionError(f"q={q} does not divide N={N}")
-    c = ramanujan_sum(q, N).astype(float)
     phi = totient(q)
-    cols = np.empty((N, phi))
-    for k in range(phi):
-        cols[:, k] = np.roll(c, p * k)
-    sv = np.linalg.svd(cols, compute_uv=False)
-    rank = int(np.sum(sv > _RANK_RTOL * sv[0]))
+    rank = _shift_rank(p, q, N)
     if rank != phi:
         raise InternalError(
             f"shift basis of S_({p},{q}) in Z_{N} has rank {rank}, expected φ({q})={phi}"
         )
-    return RamanujanSubspace(p=p, q=q, n=N, basis=cols)
+    bank = RamanujanFilterBank(N, (Channel(q, p),))
+    rows = coefficient_rows(bank, [(k, 0) for k in range(phi)])
+    # C order: BLAS products round differently on a transposed view
+    return RamanujanSubspace(p=p, q=q, n=N, basis=np.ascontiguousarray(rows.T))
+
+
+def _shift_rank(p: int, q: int, N: int) -> int:
+    """Exact rank of the p-strided shifts of c_q: distinct f mod N/p over its DFT bins f.
+
+    Shift k multiplies bin f of c_q by e^{−2πifk/d}, d = N/p, a character of
+    Z_d fixed by f mod d.  Distinct characters are independent and bins with
+    equal residues give equal rows, so all d shifts, and already the first
+    φ(q) of them (a Vandermonde system), have rank #{f mod d}.
+    """
+    f = np.arange(N)
+    return np.unique(f[_bin_channel(f, N) == q] % (N // p)).size
 
 
 def orthonormalize(cols: np.ndarray) -> np.ndarray:
@@ -202,27 +198,19 @@ def rpt_expand(x, p: int) -> dict[tuple[int, int], float]:
 
 
 def rank_Q(p: int, q: int, N: int) -> int:
-    """Numerical rank of the N×(N/p) matrix of all p-strided shifts of c_q.
+    """Rank of the N×(N/p) matrix of all p-strided shifts of c_q.
 
     p must be a prime divisor of N.  The rank is φ(q) unless p | q and p ≤ q,
     in which case the stride aliases the shifts down to φ(q/p) — the defect
     that the non-uniform construction repairs.
     """
-    if not _is_prime(p):
+    if _factorize(p) != {p: 1}:
         raise PreconditionError(f"stride p={p} must be prime")
     if N % p:
         raise PreconditionError(f"p={p} does not divide N={N}")
     if N % q:
         raise PreconditionError(f"q={q} does not divide N={N}")
-    c = ramanujan_sum(q, N).astype(float)
-    d = N // p
-    cols = np.empty((N, d))
-    for k in range(d):
-        cols[:, k] = np.roll(c, p * k)
-    sv = np.linalg.svd(cols, compute_uv=False)
-    if sv[0] <= 0:
-        return 0
-    return int(np.sum(sv > _RANK_RTOL * sv[0]))
+    return _shift_rank(p, q, N)
 
 
 @dataclass(frozen=True)
@@ -248,7 +236,7 @@ class NonUniformBankSpec:
 
 def aliasing_divisors(p: int, N: int) -> tuple[int, ...]:
     """𝔇_p: the divisors of N whose p-strided shift matrix is rank-deficient."""
-    if not _is_prime(p) or N % p:
+    if _factorize(p) != {p: 1} or N % p:
         raise PreconditionError(f"p={p} must be a prime divisor of N={N}")
     prof = divisors(N)
     if p == 2:
@@ -305,15 +293,6 @@ def build_nonuniform(p: int, r: int, N: int) -> NonUniformBankSpec:
 # erasures
 
 
-def _tight_bound_or_error(p: int, N: int) -> float:
-    case = classify_theorem_case(N, p)
-    if case.case != "tight":
-        raise PreconditionError(
-            f"(N={N}, p={p}) is not a tight configuration: {case.reason}"
-        )
-    return float(case.bound)
-
-
 def filterbank_erasure_margin(bank: RamanujanFilterBank, j: int, m: int) -> float:
     """Channel-erasure margin 1 − (d/A)·Σ_n |Zc_{q_j}(m, n)|² at frequency m.
 
@@ -328,37 +307,26 @@ def filterbank_erasure_margin(bank: RamanujanFilterBank, j: int, m: int) -> floa
 
 
 def channel_erasure_margins(bank: RamanujanFilterBank, j: int) -> np.ndarray:
-    """Margins of channel j at every frequency m ∈ Z_d, from one report and one Zak image."""
-    if not bank.uniform:
-        raise PreconditionError("channel-erasure margins need a uniform bank")
-    report = frame_report(bank)
-    if not report.tight:
-        raise PreconditionError(f"bank (N={bank.n}, p={bank.ratio}) is not tight")
+    """Margins of channel j at every m ∈ Z_d, from the bank's report and one Zak image."""
+    A = bank.tight_bound()
     if not 0 <= j < len(bank.channels):
         raise PreconditionError(f"channel index {j} out of range")
     p = bank.ratio
     d = bank.n // p
-    Z = zak(ramanujan_sum(bank.channels[j].q, bank.n).astype(float), p)
-    return 1.0 - (d / report.A) * np.sum(np.abs(Z) ** 2, axis=1)
+    Z = zak(bank.filter_matrix[j], p)
+    return 1.0 - (d / A) * np.sum(np.abs(Z) ** 2, axis=1)
 
 
-def _erased_vectors(p: int, N: int, erased) -> np.ndarray:
-    """Columns L_{pk} c_{q_i} for the (k, i) pairs; validates ranges/duplicates."""
-    prof = divisors(N)
-    d = N // p
-    seen = set()
-    cols = []
-    for k, i in erased:
-        k, i = int(k), int(i)
-        if not 0 <= i < prof.count:
-            raise PreconditionError(f"channel index {i} out of range for N={N}")
-        if not 0 <= k < d:
-            raise PreconditionError(f"shift index {k} outside Z_{d}")
-        if (k, i) in seen:
-            raise PreconditionError(f"duplicate erasure pair {(k, i)}")
-        seen.add((k, i))
-        cols.append(np.roll(ramanujan_sum(prof.divisors[i], N).astype(float), p * k))
-    return np.array(cols).T if cols else np.empty((N, 0))
+def _survivor_bounds(A: float, R: np.ndarray) -> tuple[float, float]:
+    """λ_min and λ_max of A·I − RᵀR, the survivors' frame operator on a tight bank.
+
+    R holds the erased vectors as rows; the eigenvalues of RᵀR are those of
+    the small Gram RRᵀ, padded with zeros while R has fewer than N rows.
+    """
+    if not len(R):
+        return A, A
+    mu = np.linalg.eigvalsh(R @ R.T)
+    return A - float(mu[-1]), (A if len(R) < R.shape[1] else A - float(mu[0]))
 
 
 def robust_to_erasures(p: int, N: int, erased) -> bool:
@@ -373,14 +341,8 @@ def robust_to_erasures(p: int, N: int, erased) -> bool:
     erased : iterable of (k, i)
         Shift index k ∈ Z_{N/p} and 0-based channel index i.
     """
-    A = _tight_bound_or_error(p, N)
-    F = _erased_vectors(p, N, erased)
-    r = F.shape[1]
-    if r == 0:
-        return True
-    mu = np.linalg.eigvalsh(F.T @ F)
-    lam_min = A - float(mu[-1])
-    lam_max = A if r < N else A - float(mu[0])
+    bank = uniform_bank(N, p)
+    lam_min, lam_max = _survivor_bounds(bank.tight_bound(), coefficient_rows(bank, erased))
     return lam_min > 1e-8 * lam_max
 
 
@@ -472,21 +434,17 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
         two entries each (requires N−1 ≥ 2φ(N) for p=1, d−1 ≥ 2φ(N) for p=2;
         equality is accepted and flagged as borderline).
     """
-    A = _tight_bound_or_error(p, N)
-    _check_stride(p, N)
+    bank = uniform_bank(N, p)
+    A = bank.tight_bound()
     prof = divisors(N)
     d = N // p
     if len(erased_sets) != prof.count:
         raise PreconditionError(
             f"need one erased set per channel ({prof.count}), got {len(erased_sets)}"
         )
-    sets = [sorted(set(int(k) for k in s)) for s in erased_sets]
-    for i, s in enumerate(sets):
-        if len(s) != len(list(erased_sets[i])):
-            raise PreconditionError(f"duplicate shift indices in channel {i}")
-        if any(not 0 <= k < d for k in s):
-            raise PreconditionError(f"shift index out of Z_{d} in channel {i}")
-    lmax = max((len(s) for s in sets), default=0)
+    sets = [[int(k) for k in s] for s in erased_sets]
+    R = coefficient_rows(bank, [(k, i) for i, s in enumerate(sets) for k in s])
+    lmax = max(map(len, sets), default=0)
     borderline = False
     if lmax > 2:
         raise PreconditionError("at most two erasures per channel are supported")
@@ -500,22 +458,13 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
             )
         borderline = budget == need
 
-    pairs = [(k, i) for i, s in enumerate(sets) for k in s]
-    F = _erased_vectors(p, N, pairs)
-    if F.shape[1]:
-        mu = np.linalg.eigvalsh(F.T @ F)
-        lam_min = A - float(mu[-1])
-        lam_max = A if F.shape[1] < N else A - float(mu[0])
-    else:
-        lam_min = lam_max = A
+    lam_min, lam_max = _survivor_bounds(A, R)
 
     per_channel = []
     for i, q in enumerate(prof.divisors):
-        keep = [k for k in range(d) if k not in sets[i]]
-        c = ramanujan_sum(q, N).astype(float)
-        Fi = np.array([np.roll(c, p * k) for k in keep]).T
+        Fi = coefficient_rows(bank, [(k, i) for k in range(d) if k not in sets[i]])
         Q = orthonormalize(subspace_basis(p, q, N).basis)
-        G = Q.T @ Fi
+        G = Q.T @ Fi.T
         eigs = np.linalg.eigvalsh(G @ G.T)
         per_channel.append(float(eigs[0]))
 

@@ -5,19 +5,27 @@ import math
 import numpy as np
 import pytest
 
+import rframes.frames as frames
 from rframes import (
     Channel,
     PreconditionError,
     RamanujanFilterBank,
+    all_pairs,
     analyze,
     channel_energies,
+    channel_erasure_margins,
+    denoise,
     divisors,
     identify_period,
     ramanujan_sum,
+    recover_missing,
     synthesize,
     totient,
+    truncated_sum,
+    uncertainty_report,
     uniform_bank,
 )
+from rframes.filterbank import coefficient_rows
 from rframes.experiments import periodic_signal
 
 
@@ -52,6 +60,38 @@ def test_shift_matrix_columns():
     assert S.shape == (6, 3)
     for k in range(3):
         assert np.array_equal(S[:, k], np.roll(c6, 2 * k))
+
+
+def test_coefficient_rows_use_each_channel_ratio():
+    bank = RamanujanFilterBank(12, (Channel(4, 3), Channel(6, 2), Channel(12, 1)))
+    pairs = [(3, 0), (0, 1), (5, 1), (11, 2), (0, 0)]
+    R = coefficient_rows(bank, pairs)
+    for row, (k, i) in zip(R, pairs):
+        ch = bank.channels[i]
+        assert np.array_equal(row, np.roll(ramanujan_sum(ch.q, 12), ch.p * k))
+    assert coefficient_rows(bank, []).shape == (0, 12)
+    for bad in ([(4, 0)], [(6, 1)], [(0, 3)], [(0, -1)], [(1, 2), (1, 2)]):
+        with pytest.raises(PreconditionError):
+            coefficient_rows(bank, bad)  # k ∉ Z_{N/p_i}, i ∉ [0, K), or repeated
+
+
+def test_bank_report_is_derived_once(monkeypatch):
+    calls = []
+    real = frames.frame_report
+    monkeypatch.setattr(frames, "frame_report", lambda b: calls.append(b) or real(b))
+    bank = uniform_bank(30, 2)
+    x = periodic_signal(30, (3, 5), seed=4)
+    pairs = all_pairs(bank)[3:]
+    synthesize(analyze(x, bank), bank)
+    observed = truncated_sum(x, pairs, bank)
+    recover_missing(observed, pairs, bank)
+    denoise(x, pairs, bank)
+    uncertainty_report(x, bank)
+    channel_erasure_margins(bank, 2)
+    assert calls == [bank]
+    assert bank.tight_bound() == real(bank).A
+    with pytest.raises(PreconditionError):
+        uniform_bank(12, 2).tight_bound()  # not a frame
 
 
 def test_analyze_matches_inner_products(rng):

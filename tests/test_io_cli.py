@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from rframes import PreconditionError, frame_report, uniform_bank
+from rframes import Channel, PreconditionError, RamanujanFilterBank, frame_report, uniform_bank
 from rframes.cli import main
 from rframes.io import (
     frame_report_dict,
@@ -179,6 +179,46 @@ def test_cli_period_id_rejects_nan(tmp_path, capsys):
     assert captured.out == ""
     assert "NaN or inf" in captured.err
     assert not (tmp_path / "pid" / "response.json").exists()
+
+
+def test_cli_period_id_rejects_non_numeric_json(tmp_path, capsys):
+    sig = tmp_path / "x.json"
+    sig.write_text('{"n": 6, "values": [1, "a", 3, 4, 5, 6]}')
+    assert main(["period-id", "--signal", str(sig)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err and "non-numeric" in captured.err
+
+
+def test_cli_frame_check_rejects_mixed_bank(tmp_path, capsys):
+    bankfile = str(tmp_path / "mixed.json")
+    write_bank(bankfile, RamanujanFilterBank(6, (Channel(1, 1), Channel(2, 2))))
+    assert main(["frame-check", "--bank", bankfile]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_recover_rejects_bad_missing_pairs(tmp_path, capsys):
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, np.arange(6.0))
+    missing = str(tmp_path / "missing.json")
+    for pairs in ([(0, -1), (0, 0), (0, 0)], [(0, 0), (0, 0)], [(6, 0)], [(0, 4)]):
+        write_pairs(missing, pairs)
+        rc = main(["recover", "--signal", sig, "--missing", missing, "--n", "6", "--p", "1"])
+        assert rc == 2, pairs
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
+
+
+def test_cli_recover_rejects_nan(tmp_path, capsys):
+    sig = tmp_path / "x.csv"
+    sig.write_text("1\n2\nnan\n4\n1\n2\n")
+    missing = str(tmp_path / "missing.json")
+    write_pairs(missing, [(0, 3)])
+    rc = main(["recover", "--signal", str(sig), "--missing", missing, "--n", "6", "--p", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN or inf" in captured.err
 
 
 def test_cli_recover_round_trip(tmp_path, capsys):

@@ -144,6 +144,19 @@ def test_pair_validation():
         truncated_sum(x, [(0, 0)], uniform_bank(12, 2))  # not tight
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recovery_layer_rejects_non_finite_signals(bad):
+    bank = uniform_bank(6, 1)
+    pairs = all_pairs(bank)[1:]
+    x = np.array([1.0, 2.0, bad, 4.0, 1.0, 2.0])
+    for call in (lambda: truncated_sum(x, pairs, bank),
+                 lambda: recover_missing(x, pairs, bank),
+                 lambda: recover_missing_periodic(x, pairs, bank, [3]),
+                 lambda: denoise(x, pairs, bank)):
+        with pytest.raises(PreconditionError, match="NaN or inf"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # ℓ1 recovery
 

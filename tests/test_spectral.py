@@ -15,7 +15,9 @@ import pytest
 
 from conftest import dft_channel_mask, trig_ramanujan
 from rframes import (
+    Channel,
     PreconditionError,
+    RamanujanFilterBank,
     analyze,
     channel_energies,
     circular_convolution,
@@ -124,6 +126,35 @@ def test_frame_report_ranks_for_larger_ratios():
             assert rep.ranks == _mask_ranks(N, p), (N, p)
             assert not rep.is_frame, (N, p)
     assert frame_report(uniform_bank(6, 6)).ranks == (4,)
+
+
+def _svd_ranks(U):
+    """Numerical ranks of the U(m), on the scale of the whole stack: a sub-bank's
+    U(m) can vanish at some m, leaving only the oracle's rounding noise."""
+    sv = np.linalg.svd(U, compute_uv=False)
+    return tuple(np.sum(sv > 1e-10 * sv.max(), axis=1).tolist())
+
+
+def test_frame_report_ranks_match_svd_up_to_ratio_6():
+    # the integer ranks against an SVD of the direct U(m) stack, for the
+    # divisor banks with 3 ≤ p ≤ 6 and for seeded sub-banks with p ≤ 6;
+    # none of the sub-banks missing a channel is a frame
+    rng = np.random.default_rng(6)
+    for N in range(3, 211):
+        filters = _filters(N)
+        qs = divisors(N).divisors
+        for p in (p for p in range(1, 7) if N % p == 0):
+            if p >= 3:
+                rep = frame_report(uniform_bank(N, p))
+                assert rep.ranks == _svd_ranks(_reference_stack(filters, p)), (N, p)
+            if N > 60 or len(qs) < 2:
+                continue
+            keep = sorted(rng.choice(len(qs), size=int(rng.integers(1, len(qs))), replace=False))
+            bank = RamanujanFilterBank(N, tuple(Channel(qs[i], p) for i in keep))
+            rep = frame_report(bank)
+            U = _reference_stack([filters[i] for i in keep], p)
+            assert rep.ranks == _svd_ranks(U), (N, p, keep)
+            assert not rep.is_frame, (N, p, keep)
 
 
 def test_round_trip_at_n_30030():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-import rframes.subspaces as sub
+import rframes.frames as frames
+import rframes.subspaces as subspaces
 from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
     PreconditionError,
@@ -162,12 +163,11 @@ def test_channel_margins_from_one_report(N, p, monkeypatch):
     d = N // p
     E = np.exp(-2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d)
     reports = []
-    real_report = sub.frame_report
-    monkeypatch.setattr(sub, "frame_report", lambda b: reports.append(b) or real_report(b))
+    real_report = frames.frame_report
+    monkeypatch.setattr(frames, "frame_report", lambda b: reports.append(b) or real_report(b))
     for j, q in enumerate(bank.qs):
-        reports.clear()
         margins = channel_erasure_margins(bank, j)
-        assert len(reports) == 1
+        assert len(reports) == 1  # one report for the bank, not one per channel
         # Σ_n |Σ_ℓ c(pℓ + n) e^{−2πimℓ/d}|² / d over the tight bound p·d²
         energy = np.sum(np.abs(E @ trig_ramanujan(q, N).reshape(d, p)) ** 2, axis=1) / d
         assert np.abs(margins - (1 - energy / (p * d))).max() <= 1e-12
@@ -300,3 +300,43 @@ def test_untouched_bank_reports_unit_bounds():
     rep = fusion_after_local_erasures(1, 12, [[]] * 6)
     assert np.isclose(rep.a_f, 1.0, atol=1e-12)
     assert np.isclose(rep.b_f, 1.0, atol=1e-12)
+
+
+def _svd_rank(M):
+    """Numerical rank of a shift matrix, the oracle for the exact counts."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(sv > 1e-10 * sv[0]))
+
+
+def _circulant(q, N):
+    """Columns L_k c_q for every k ∈ Z_N, from the trigonometric sum."""
+    idx = (np.arange(N)[:, None] - np.arange(N)[None, :]) % N
+    return trig_ramanujan(q, N)[idx]
+
+
+def test_rank_q_matches_svd_of_shift_matrices():
+    primes = (2, 3, 5, 7, 11, 13)
+    cases = 0
+    for N in range(2, 211):
+        strides = [p for p in primes if N % p == 0]
+        for q in divisors(N).divisors if strides else ():
+            C = _circulant(q, N)
+            for p in strides:
+                assert rank_Q(p, q, N) == _svd_rank(C[:, ::p]), (p, q, N)
+                cases += 1
+    assert cases > 2000
+
+
+def test_subspace_basis_rank_check_matches_svd():
+    # the exact check accepts (p, q, N) iff the first φ(q) p-strided shifts
+    # have full rank; subspace_basis itself admits only the valid strides
+    for N in range(1, 121):
+        for q in divisors(N).divisors:
+            C = _circulant(q, N)
+            phi = totient(q)
+            for p in (1, 2) if N % 2 == 0 else (1,):
+                first = C[:, : p * phi : p]
+                assert subspaces._shift_rank(p, q, N) == _svd_rank(first), (p, q, N)
+                if p == 1 or (N // 2) % 2 == 1:
+                    basis = subspace_basis(p, q, N).basis
+                    assert np.array_equal(basis, np.round(first)), (p, q, N)
