@@ -22,8 +22,7 @@ from .experiments import run_erasures, run_examples, run_fusion, run_tables
 from .filterbank import (
     RamanujanFilterBank,
     _checked_pairs,
-    channel_energies,
-    identify_period,
+    _period_scan,
     uniform_bank,
 )
 from .frames import classify_theorem_case, frame_report
@@ -123,17 +122,13 @@ def cmd_frame_check(args) -> int:
 def cmd_period_id(args) -> int:
     x = read_signal(args.signal)
     n = args.n if args.n is not None else len(x)
-    period = identify_period(x, n)
+    period, responding, energies = _period_scan(x, n, 1e-8)
     print(f"period {period}")
-    bank1 = uniform_bank(n, 1)
-    energies = channel_energies(x, bank1)
-    top = float(energies.max())
     request = {"command": "period-id", "signal": args.signal, "n": n}
     response = {
         "n": n,
         "period": period,
-        "responding": [int(q) for q, e in zip(bank1.qs, energies)
-                       if e > 1e-8 * top],
+        "responding": [int(q) for q in responding],
         "energies": [float(e) for e in energies],
     }
     _dump(_outdir(args), request, response)

@@ -33,6 +33,11 @@ __all__ = [
 ]
 
 
+def _is_int(v) -> bool:
+    """Python and numpy integers; not bools, floats or strings."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Channel:
     q: int
@@ -55,15 +60,17 @@ class RamanujanFilterBank:
     channels: tuple[Channel, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise PreconditionError(f"bank needs N >= 1, got {self.n}")
+        if not _is_int(self.n) or self.n < 1:
+            raise PreconditionError(f"bank needs an integer N >= 1, got {self.n!r}")
         if not self.channels:
             raise PreconditionError("bank needs at least one channel")
         for ch in self.channels:
-            if self.n % ch.q:
-                raise PreconditionError(f"channel q={ch.q} does not divide N={self.n}")
+            if not (_is_int(ch.q) and _is_int(ch.p)):
+                raise PreconditionError(f"channel q={ch.q!r}, p={ch.p!r} is not a pair of integers")
+            if ch.q < 1 or self.n % ch.q:
+                raise PreconditionError(f"channel q={ch.q} is not a positive divisor of N={self.n}")
             if ch.p < 1 or self.n % ch.p:
-                raise PreconditionError(f"ratio p={ch.p} does not divide N={self.n}")
+                raise PreconditionError(f"ratio p={ch.p} is not a positive divisor of N={self.n}")
 
     @property
     def uniform(self) -> bool:
@@ -284,6 +291,11 @@ def identify_period(x, N: int | None = None, zero_tol: float = 1e-8) -> int:
         If x is the zero signal (every channel is silent; an all-zero signal
         has no period, while a constant one correctly reports period 1).
     """
+    return _period_scan(x, N, zero_tol)[0]
+
+
+def _period_scan(x, N: int | None, zero_tol: float) -> tuple[int, tuple[int, ...], np.ndarray]:
+    """:func:`identify_period`'s work: the period, the responding q's and every channel energy."""
     x = np.asarray(x, dtype=float)
     if N is None:
         N = len(x)
@@ -294,8 +306,5 @@ def identify_period(x, N: int | None = None, zero_tol: float = 1e-8) -> int:
     top = float(energies.max())
     if top <= 0.0:
         raise PreconditionError("all channel energies vanish: zero signal has no period")
-    period = 1
-    for q, e in zip(bank.qs, energies):
-        if e > zero_tol * top:
-            period = math.lcm(period, q)
-    return period
+    responding = tuple(q for q, e in zip(bank.qs, energies) if e > zero_tol * top)
+    return math.lcm(*responding), responding, energies

@@ -94,6 +94,15 @@ def _polyphase_stack(bank: RamanujanFilterBank) -> np.ndarray:
     return np.fft.fft(C, axis=1).conj().transpose(1, 0, 2)
 
 
+def _bin_owners(N: int, p: int) -> np.ndarray:
+    """d×p table, d = N/p: entry (m, j) is the channel that owns DFT bin −m + jd.
+
+    Row m lists the bins that U(m) and row m of a Zak image see.
+    """
+    d = N // p
+    return _bin_channel((np.arange(p) * d - np.arange(d)[:, None]) % N, N)
+
+
 @dataclass(frozen=True)
 class FrameReport:
     """Frame bounds and per-frequency diagnostics of a uniform bank.
@@ -154,9 +163,8 @@ def frame_report(bank: RamanujanFilterBank, cross_validate: bool = False) -> Fra
     # U(m)[i, n] = d·Σ_j mask_i(f_j)·e^{2πi f_j n/N} over the bins f_j = −m + jd,
     # j < p: a 0/1 bin-ownership matrix times an invertible Vandermonde, so
     # rank U(m) is the number of the bank's channels among those p bins.
-    owners = _bin_channel((np.arange(p) * d - np.arange(d)[:, None]) % bank.n, bank.n)
     qs = set(bank.qs)
-    ranks = tuple(len(qs.intersection(row)) for row in owners.tolist())
+    ranks = tuple(len(qs.intersection(row)) for row in _bin_owners(bank.n, p).tolist())
     is_frame = all(r == p for r in ranks)
     A = float(eigs[:, 0].min())
     B = float(eigs[:, -1].max())

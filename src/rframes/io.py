@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from .errors import PreconditionError
-from .filterbank import Channel, RamanujanFilterBank
+from .filterbank import Channel, RamanujanFilterBank, _is_int
 
 __all__ = [
     "json_dumps",
@@ -115,9 +115,16 @@ def write_csv(path: str, columns: dict) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _load_json(path: str):
-    with open(path) as fh:
-        text = fh.read()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -133,13 +140,12 @@ def read_signal(path: str) -> np.ndarray:
         try:
             values = np.asarray(obj["values"], dtype=float)
             declared = int(obj.get("n", len(values)))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise PreconditionError(f"{path}: non-numeric entry in signal JSON") from exc
         if declared != len(values):
             raise PreconditionError(f"{path}: declared n={declared} but {len(values)} values")
         return values
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     try:
         return np.array([float(ln) for ln in lines])
     except ValueError as exc:
@@ -161,8 +167,8 @@ def write_signal(path: str, x, fmt: str | None = None) -> None:
 def read_bank(path: str) -> RamanujanFilterBank:
     obj = _load_json(path)
     try:
-        channels = tuple(Channel(int(c["q"]), int(c["p"])) for c in obj["channels"])
-        return RamanujanFilterBank(int(obj["n"]), channels)
+        channels = tuple(Channel(c["q"], c["p"]) for c in obj["channels"])
+        return RamanujanFilterBank(obj["n"], channels)
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"{path}: malformed bank JSON ({exc})") from exc
 
@@ -178,12 +184,12 @@ def read_pairs(path: str) -> list[tuple[int, int]]:
     obj = _load_json(path)
     if not isinstance(obj, dict) or "pairs" not in obj:
         raise PreconditionError(f"{path}: pairs JSON needs a 'pairs' field")
-    out = []
-    for entry in obj["pairs"]:
-        if len(entry) != 2:
-            raise PreconditionError(f"{path}: each pair must be [k, i]")
-        out.append((int(entry[0]), int(entry[1])))
-    return out
+    pairs = obj["pairs"]
+    if not isinstance(pairs, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in pairs
+    ):
+        raise PreconditionError(f"{path}: each pair must be [k, i] with integer k and i")
+    return [(k, i) for k, i in pairs]
 
 
 def write_pairs(path: str, pairs) -> None:

@@ -10,14 +10,13 @@ S_{2,q} = S_{1,q}.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalError, PreconditionError
-from .filterbank import Channel, RamanujanFilterBank, coefficient_rows, uniform_bank
-from .frames import frame_operator, zak
+from .filterbank import Channel, RamanujanFilterBank, _checked_pairs, coefficient_rows, uniform_bank
+from .frames import _bin_owners
 from .numtheory import _bin_channel, _factorize, divisors, totient
 
 __all__ = [
@@ -110,22 +109,17 @@ def _shift_rank(p: int, q: int, N: int) -> int:
 
 
 def orthonormalize(cols: np.ndarray) -> np.ndarray:
-    """Modified Gram–Schmidt with one re-orthogonalization pass.
+    """Orthonormal columns with the span of cols, from one Householder QR.
 
-    The double pass restores orthogonality to ~1e−12 even for the moderately
-    conditioned Ramanujan shift bases.
+    Column j is flipped to the sign of R_jj, which makes it the vector
+    Gram–Schmidt would produce from the first j + 1 columns.
     """
-    Q = np.array(cols, dtype=float, copy=True)
-    ncols = Q.shape[1]
-    for _ in range(2):
-        for j in range(ncols):
-            for i in range(j):
-                Q[:, j] -= (Q[:, i] @ Q[:, j]) * Q[:, i]
-            nrm = float(np.linalg.norm(Q[:, j]))
-            if nrm < 1e-12:
-                raise InternalError("dependent column during orthonormalization")
-            Q[:, j] /= nrm
-    return Q
+    cols = np.asarray(cols, dtype=float)
+    Q, R = np.linalg.qr(cols)
+    diag = np.diagonal(R)
+    if len(diag) < cols.shape[1] or (np.abs(diag) < 1e-12).any():
+        raise InternalError("dependent column during orthonormalization")
+    return Q * np.sign(diag)
 
 
 def _projector(p: int, q: int, N: int) -> np.ndarray:
@@ -148,18 +142,12 @@ def orthogonal_decomposition_check(p: int, N: int) -> DecompositionCheck:
     _check_stride(p, N)
     prof = divisors(N)
     bases = [subspace_basis(p, q, N).basis for q in prof.divisors]
-    max_cross = 0.0
-    for a in range(len(bases)):
-        for b in range(a + 1, len(bases)):
-            G = bases[a].T @ bases[b]
-            scale = np.outer(
-                np.linalg.norm(bases[a], axis=0), np.linalg.norm(bases[b], axis=0)
-            )
-            max_cross = max(max_cross, float(np.abs(G / scale).max()))
-    total = sum(B.shape[1] for B in bases)
-    acc = np.zeros((N, N))
-    for q in prof.divisors:
-        acc += _projector(p, q, N)
+    B = np.hstack(bases)
+    B = B / np.linalg.norm(B, axis=0)
+    owner = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+    max_cross = float(np.abs(B.T @ B)[owner[:, None] != owner].max(initial=0.0))
+    total = B.shape[1]
+    acc = sum(_projector(p, q, N) for q in prof.divisors)
     identity_residual = float(np.abs(acc - np.eye(N)).max())
     ok = total == N and max_cross < 1e-9 and identity_residual < 1e-8
     return DecompositionCheck(ok, total, max_cross, identity_residual)
@@ -188,13 +176,8 @@ def rpt_expand(x, p: int) -> dict[tuple[int, int], float]:
         raise InternalError(
             f"RPT reconstruction residual {residual:.3g} exceeds 1e-8·‖x‖"
         )
-    out: dict[tuple[int, int], float] = {}
-    pos = 0
-    for q in prof.divisors:
-        for ell in range(totient(q)):
-            out[(q, ell)] = float(alpha[pos])
-            pos += 1
-    return out
+    keys = [(q, ell) for q in prof.divisors for ell in range(totient(q))]
+    return {key: float(a) for key, a in zip(keys, alpha)}
 
 
 def rank_Q(p: int, q: int, N: int) -> int:
@@ -276,16 +259,17 @@ def build_nonuniform(p: int, r: int, N: int) -> NonUniformBankSpec:
     bank = RamanujanFilterBank(
         N, tuple(Channel(q, pq) for q, pq in zip(prof.divisors, ratios))
     )
-    eigs = np.linalg.eigvalsh(frame_operator(bank))
-    A, B = float(eigs[0]), float(eigs[-1])
-    is_frame = A > 1e-8 * B
-    if not is_frame:
+    # the bins q owns have distinct residues mod N/p_q iff the channel spans
+    # V_q, and then its frame operator is (N²/p_q)·I on V_q
+    lost = [q for q, pq in zip(prof.divisors, ratios) if _shift_rank(pq, q, N) != totient(q)]
+    if lost:
         raise InternalError(
             f"non-uniform bank (p={p}, r={r}, N={N}) failed its frame check: "
-            f"A={A:.3g}, B={B:.3g}"
+            f"channels {lost} do not span their subspaces"
         )
+    A, B = N * N / max(ratios), N * N / min(ratios)
     return NonUniformBankSpec(
-        p=p, r=r, n=N, dset=dset, ratios=ratios, bank=bank, A=A, B=B, is_frame=is_frame
+        p=p, r=r, n=N, dset=dset, ratios=ratios, bank=bank, A=A, B=B, is_frame=True
     )
 
 
@@ -307,43 +291,62 @@ def filterbank_erasure_margin(bank: RamanujanFilterBank, j: int, m: int) -> floa
 
 
 def channel_erasure_margins(bank: RamanujanFilterBank, j: int) -> np.ndarray:
-    """Margins of channel j at every m ∈ Z_d, from the bank's report and one Zak image."""
+    """Margins of channel j at every m ∈ Z_d: 1 − (p·d²/A)·#{j′ < p : q_j owns bin −m + j′d}.
+
+    Row m of the Zak image of c_q sees the DFT of c_q on those p bins, N on
+    the bins q owns and 0 elsewhere, so Σ_n |Zc_q(m, n)|² = N·(the count).
+    """
     A = bank.tight_bound()
     if not 0 <= j < len(bank.channels):
         raise PreconditionError(f"channel index {j} out of range")
     p = bank.ratio
     d = bank.n // p
-    Z = zak(bank.filter_matrix[j], p)
-    return 1.0 - (d / A) * np.sum(np.abs(Z) ** 2, axis=1)
+    hits = (_bin_owners(bank.n, p) == bank.qs[j]).sum(axis=1)
+    return 1.0 - (p * d * d / A) * hits
 
 
-def _survivor_bounds(A: float, R: np.ndarray) -> tuple[float, float]:
-    """λ_min and λ_max of A·I − RᵀR, the survivors' frame operator on a tight bank.
+def _survivor_bounds(bank: RamanujanFilterBank, erased) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel λ_min and λ_max of A·I − Σ_erased f fᵀ, the survivors' frame operator.
 
-    R holds the erased vectors as rows; the eigenvalues of RᵀR are those of
-    the small Gram RRᵀ, padded with zeros while R has fewer than N rows.
+    Channel i's shifts lie in V_{q_i}, the span of the DFT bins q_i owns; these
+    subspaces are orthogonal, so erasures act channel by channel.  As
+    c_q ∗ c_q = N·c_q, the n_i erased shifts k of channel i have the Gram
+    N·c_{q_i}(p(k − k′)); its ascending eigenvalues μ share their nonzero part
+    with the erased operator's spectrum on V_{q_i}, of dimension φ(q_i).  So
+    λ_min,i = A − μ_max, and λ_max,i = A while n_i < φ(q_i), else A − μ_{n_i−φ(q_i)}.
     """
-    if not len(R):
-        return A, A
-    mu = np.linalg.eigvalsh(R @ R.T)
-    return A - float(mu[-1]), (A if len(R) < R.shape[1] else A - float(mu[0]))
+    A = bank.tight_bound()
+    N = bank.n
+    erased_by_channel = [[] for _ in bank.channels]
+    for k, i in _checked_pairs(bank, erased):
+        erased_by_channel[i].append(k)
+    lo = np.full(len(bank.channels), A)
+    hi = lo.copy()
+    for i, (ch, ks) in enumerate(zip(bank.channels, erased_by_channel)):
+        if not ks:
+            continue
+        k = np.array(ks)
+        mu = np.linalg.eigvalsh(N * bank.filter_matrix[i, ch.p * (k[:, None] - k) % N])
+        lo[i] = A - mu[-1]
+        if len(ks) >= totient(ch.q):
+            hi[i] = A - mu[len(ks) - totient(ch.q)]
+    return lo, hi
 
 
 def robust_to_erasures(p: int, N: int, erased) -> bool:
     """Do the frame vectors survive deleting the given (k, i) pairs?
 
     Works on tight configurations, where the survivors' frame operator is
-    A·I − Σ_erased f fᵀ; the survivors form a frame iff
-    A − λ_max(Gram of erased) stays above 1e−8 times the surviving maximum.
+    A·I − Σ_erased f fᵀ; the survivors form a frame iff its smallest
+    eigenvalue stays above 1e−8 times its largest.
 
     Parameters
     ----------
     erased : iterable of (k, i)
         Shift index k ∈ Z_{N/p} and 0-based channel index i.
     """
-    bank = uniform_bank(N, p)
-    lam_min, lam_max = _survivor_bounds(bank.tight_bound(), coefficient_rows(bank, erased))
-    return lam_min > 1e-8 * lam_max
+    lo, hi = _survivor_bounds(uniform_bank(N, p), erased)
+    return bool(lo.min() > 1e-8 * hi.max())
 
 
 # ---------------------------------------------------------------------------
@@ -376,29 +379,15 @@ def fusion_frame_check(p: int, N: int, draws: int = 20, seed: int = 0) -> Fusion
     _check_stride(p, N)
     if draws < 1:
         raise PreconditionError("need at least one draw")
-    prof = divisors(N)
-    projectors = [_projector(p, q, N) for q in prof.divisors]
-    acc = np.zeros((N, N))
-    for P in projectors:
-        acc += P
-    op_eigs = np.linalg.eigvalsh(acc)
-    rng = np.random.default_rng(seed)
-    lo, hi = math.inf, -math.inf
-    first_energies: tuple[float, ...] = ()
-    parseval = True
-    for t in range(draws):
-        x = rng.standard_normal(N)
-        total = float(x @ x)
-        energies = [float(np.linalg.norm(P @ x) ** 2) for P in projectors]
-        if t == 0:
-            first_energies = tuple(energies)
-        ratio = sum(energies) / total
-        lo, hi = min(lo, ratio), max(hi, ratio)
-        if abs(ratio - 1.0) > 1e-9:
-            parseval = False
+    projectors = [_projector(p, q, N) for q in divisors(N).divisors]
+    op_eigs = np.linalg.eigvalsh(sum(projectors))
+    X = np.random.default_rng(seed).standard_normal((draws, N))  # row t is draw t
+    energies = np.array([np.sum((X @ P) ** 2, axis=1) for P in projectors])
+    ratios = energies.sum(axis=0) / np.sum(X * X, axis=1)
     return FusionFrameReport(
-        p=p, n=N, draws=draws, seed=seed, a_f=float(lo), b_f=float(hi),
-        parseval=parseval, energies=first_energies,
+        p=p, n=N, draws=draws, seed=seed, a_f=float(ratios.min()), b_f=float(ratios.max()),
+        parseval=bool(np.all(np.abs(ratios - 1.0) <= 1e-9)),
+        energies=tuple(energies[:, 0].tolist()),
         op_min=float(op_eigs[0]), op_max=float(op_eigs[-1]),
     )
 
@@ -410,7 +399,8 @@ class FusionErasureReport:
     a_f and b_f are the survivors' global frame bounds divided by the tight
     constant pd² (so the untouched bank reports exactly 1, 1); the guaranteed
     floor is min_i A_{p,i} / (pd²) with A_{p,i} the surviving collection's
-    lower bound on its own subspace.
+    lower bound on its own subspace.  The channel subspaces are orthogonal,
+    so a_f equals that floor and bound_ok always holds.
     """
 
     p: int
@@ -435,15 +425,13 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
         equality is accepted and flagged as borderline).
     """
     bank = uniform_bank(N, p)
-    A = bank.tight_bound()
-    prof = divisors(N)
+    K = len(bank.channels)
     d = N // p
-    if len(erased_sets) != prof.count:
+    if len(erased_sets) != K:
         raise PreconditionError(
-            f"need one erased set per channel ({prof.count}), got {len(erased_sets)}"
+            f"need one erased set per channel ({K}), got {len(erased_sets)}"
         )
     sets = [[int(k) for k in s] for s in erased_sets]
-    R = coefficient_rows(bank, [(k, i) for i, s in enumerate(sets) for k in s])
     lmax = max(map(len, sets), default=0)
     borderline = False
     if lmax > 2:
@@ -458,24 +446,14 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
             )
         borderline = budget == need
 
-    lam_min, lam_max = _survivor_bounds(A, R)
-
-    per_channel = []
-    for i, q in enumerate(prof.divisors):
-        Fi = coefficient_rows(bank, [(k, i) for k in range(d) if k not in sets[i]])
-        Q = orthonormalize(subspace_basis(p, q, N).basis)
-        G = Q.T @ Fi.T
-        eigs = np.linalg.eigvalsh(G @ G.T)
-        per_channel.append(float(eigs[0]))
-
+    lo, hi = _survivor_bounds(bank, [(k, i) for i, s in enumerate(sets) for k in s])
     scale = p * d * d
-    a_f = lam_min / scale
-    b_f = lam_max / scale
-    floor = min(per_channel) / scale
+    a_f = float(lo.min()) / scale
+    b_f = float(hi.max()) / scale
     return FusionErasureReport(
         p=p, n=N, a_f=a_f, b_f=b_f,
-        frame_flag=lam_min > 1e-8 * lam_max,
-        per_channel_lower=tuple(per_channel),
-        bound_ok=a_f >= floor - 1e-8,
+        frame_flag=bool(lo.min() > 1e-8 * hi.max()),
+        per_channel_lower=tuple(lo.tolist()),
+        bound_ok=True,
         hypothesis_borderline=borderline,
     )

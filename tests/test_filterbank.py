@@ -45,6 +45,12 @@ def test_bank_validation():
         RamanujanFilterBank(10, (Channel(5, 3),))  # p does not divide N
     with pytest.raises(PreconditionError):
         RamanujanFilterBank(10, ())
+    for bad in (Channel(0, 1), Channel(1, 0), Channel(1.5, 1), Channel(1, True)):
+        with pytest.raises(PreconditionError):
+            RamanujanFilterBank(6, (bad,))  # checked before any n % q
+    with pytest.raises(PreconditionError):
+        RamanujanFilterBank(6.0, (Channel(1, 1),))
+    assert RamanujanFilterBank(np.int64(6), (Channel(np.int64(3), 1),)).qs == (3,)
     with pytest.raises(PreconditionError):
         uniform_bank(12, 5)
     mixed = RamanujanFilterBank(12, (Channel(3, 1), Channel(4, 2)))

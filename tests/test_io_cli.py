@@ -209,6 +209,55 @@ def test_cli_recover_rejects_bad_missing_pairs(tmp_path, capsys):
         assert captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("recover", '{"pairs": [5]}'),
+    ("recover", '{"pairs": [[0, "a"]]}'),
+    ("recover", '{"pairs": [[0, 1.5]]}'),
+    ("frame-check", '{"n": "abc", "channels": [{"q": 1, "p": 1}]}'),
+    ("frame-check", '{"n": 6, "channels": [{"q": 0, "p": 1}]}'),
+    ("frame-check", '{"n": 6, "channels": [{"q": 1.5, "p": 1}]}'),
+])
+def test_cli_rejects_malformed_files(tmp_path, capsys, command, text):
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, np.arange(6.0))
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    if command == "recover":
+        argv = ["recover", "--signal", sig, "--missing", str(path), "--n", "6", "--p", "1"]
+    else:
+        argv = ["frame-check", "--bank", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_cli_rejects_binary_signal(tmp_path, capsys):
+    sig = tmp_path / "x.csv"
+    sig.write_bytes(b"\xff\xfe\x00\x01")
+    assert main(["period-id", "--signal", str(sig)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_cli_period_id_computes_energies_once(tmp_path, monkeypatch):
+    import rframes.cli as cli
+    import rframes.filterbank as filterbank
+    from rframes.experiments import periodic_signal
+
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, periodic_signal(30, (3, 5), seed=2))
+    want = filterbank.channel_energies(read_signal(sig), uniform_bank(30, 1))
+    calls = []
+    real = filterbank.channel_energies
+    for module in (filterbank, cli):  # every name the command could call it by
+        monkeypatch.setattr(module, "channel_energies",
+                            lambda *a: calls.append(a) or real(*a), raising=False)
+    assert main(["period-id", "--signal", sig, "--out", str(tmp_path / "pid")]) == 0
+    assert len(calls) == 1
+    resp = json.loads((tmp_path / "pid" / "response.json").read_text())
+    assert resp["energies"] == [float(json_dumps(e)) for e in want]
+    assert resp["responding"] == [3, 5] and resp["period"] == 15
+
+
 def test_cli_recover_rejects_nan(tmp_path, capsys):
     sig = tmp_path / "x.csv"
     sig.write_text("1\n2\nnan\n4\n1\n2\n")

@@ -340,3 +340,111 @@ def test_subspace_basis_rank_check_matches_svd():
                 if p == 1 or (N // 2) % 2 == 1:
                     basis = subspace_basis(p, q, N).basis
                     assert np.array_equal(basis, np.round(first)), (p, q, N)
+
+
+def _tight_cases():
+    """Every tight uniform bank with N ≤ 60, plus one large case per stride."""
+    return [(N, 1) for N in range(1, 61)] + [(N, 2) for N in range(2, 61, 4)] + [
+        (105, 1), (210, 2)
+    ]
+
+
+def _erasure_sets(bank, rng):
+    """Small, whole-channel, and more-than-N erasure sets of (k, i) pairs."""
+    N = bank.n
+    pairs = [(k, i) for i, ch in enumerate(bank.channels) for k in range(N // ch.p)]
+    j = int(rng.integers(len(bank.channels)))
+    whole = [(k, j) for k in range(N // bank.channels[j].p)]
+    sets = [whole]
+    for size in (2, N + 1, len(pairs) - 1):
+        if 0 < size < len(pairs):
+            sets.append([pairs[t] for t in rng.choice(len(pairs), size, replace=False)])
+    return sets
+
+
+def _survivor_operator(bank, erased):
+    """Σ f fᵀ over the surviving shifts f = L_{pk} c_q, from the trigonometric sums."""
+    N = bank.n
+    gone = set(erased)
+    S = np.zeros((N, N))
+    for i, ch in enumerate(bank.channels):
+        c = trig_ramanujan(ch.q, N)
+        F = np.array([np.roll(c, ch.p * k) for k in range(N // ch.p) if (k, i) not in gone])
+        if len(F):
+            S += F.T @ F
+    return S
+
+
+@pytest.mark.parametrize("N,p", _tight_cases())
+def test_survivor_bounds_match_trig_oracle(N, p):
+    # per channel: the spectrum of the survivors' operator on V_q; overall:
+    # its extreme eigenvalues, also when more than N vectors are erased
+    bank = uniform_bank(N, p)
+    A = bank.tight_bound()
+    rng = np.random.default_rng(1000 * N + p)
+    bases = []
+    for q in bank.qs:
+        w, V = np.linalg.eigh(dft_subspace_projector(q, N).real)
+        bases.append(V[:, w > 0.5])
+    for erased in _erasure_sets(bank, rng):
+        lo, hi = subspaces._survivor_bounds(bank, erased)
+        S = _survivor_operator(bank, erased)
+        eigs = np.linalg.eigvalsh(S)
+        assert abs(lo.min() - eigs[0]) <= 1e-12 * A, (N, p, len(erased))
+        assert abs(hi.max() - eigs[-1]) <= 1e-12 * A, (N, p, len(erased))
+        for i, Q in enumerate(bases):
+            on_v = np.linalg.eigvalsh(Q.T @ S @ Q)
+            assert abs(lo[i] - on_v[0]) <= 1e-12 * A, (N, p, i)
+            assert abs(hi[i] - on_v[-1]) <= 1e-12 * A, (N, p, i)
+
+
+def test_fusion_upper_bound_with_more_than_n_erasures():
+    # 8 erasures in Z_6: the q = 3 and q = 6 channels lose both dimensions'
+    # worth of shifts, and their survivors top out at 36 − 6 = 30 = (5/6)·A
+    rep = fusion_after_local_erasures(1, 6, [[0, 1]] * 4)
+    assert abs(rep.b_f - 5 / 6) <= 1e-12
+    S = _survivor_operator(uniform_bank(6, 1), [(k, i) for i in range(4) for k in (0, 1)])
+    assert abs(np.linalg.eigvalsh(S)[-1] / 36 - 5 / 6) <= 1e-12
+
+
+def _nonuniform_cases():
+    for N in range(2, 121):
+        for p in (q for q in divisors(N).divisors if q > 1 and totient(q) == q - 1):
+            for r in (1, 2) if N % 4 == 2 else (1,):
+                yield p, r, N
+
+
+def test_nonuniform_bounds_match_frame_operator():
+    cases = 0
+    for p, r, N in _nonuniform_cases():
+        spec = build_nonuniform(p, r, N)
+        eigs = np.linalg.eigvalsh(frames.frame_operator(spec.bank))
+        assert abs(spec.A - eigs[0]) <= 1e-12 * eigs[-1], (p, r, N)
+        assert abs(spec.B - eigs[-1]) <= 1e-12 * eigs[-1], (p, r, N)
+        cases += 1
+    assert cases > 200
+
+
+def _gram_schmidt(cols):
+    """Classical Gram–Schmidt, column by column, the oracle for orthonormalize."""
+    Q = np.zeros_like(cols, dtype=float)
+    for j in range(cols.shape[1]):
+        v = cols[:, j] - Q[:, :j] @ (Q[:, :j].T @ cols[:, j])
+        v = v - Q[:, :j] @ (Q[:, :j].T @ v)
+        Q[:, j] = v / np.linalg.norm(v)
+    return Q
+
+
+@pytest.mark.parametrize("p,N", [(1, 60), (2, 210)])
+def test_orthonormalize_matches_gram_schmidt(p, N):
+    for q in divisors(N).divisors:
+        B = subspace_basis(p, q, N).basis
+        assert np.abs(orthonormalize(B) - _gram_schmidt(B)).max() <= 1e-13, (p, q, N)
+
+
+def test_orthonormalize_rejects_dependent_columns():
+    c = ramanujan_sum(4, 4).astype(float)
+    with pytest.raises(subspaces.InternalError):
+        orthonormalize(np.column_stack([c, np.roll(c, 2)]))  # c_4(n − 2) = −c_4(n)
+    with pytest.raises(subspaces.InternalError):
+        orthonormalize(np.eye(3, 4))  # more columns than rows
