@@ -12,12 +12,17 @@ The recovery problems are linear programs over the coefficient constraints:
   outside the declared period list.
 * ``denoise``            — min ‖y − x′‖₁ with x′ ranging over the subspace of
   signals whose coefficients vanish off a detected support set.
+
+The first two split by channel: the shifts of c_q span V_q, and the V_q are
+orthogonal.  A channel whose retained shifts still span V_q is recovered by
+a φ(q)-dimensional linear solve; the simplex runs only when some channel's
+retained shifts fall short.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,9 +34,8 @@ from .filterbank import (
     analyze,
     channel_energies,
     coefficient_rows,
-    uniform_bank,
 )
-from .numtheory import divisors, totient
+from .numtheory import _bin_channel, divisors, totient
 from .simplex import l1_fit, solve_l1_lp
 
 __all__ = [
@@ -130,26 +134,117 @@ def truncated_sum(x, pairs, bank: RamanujanFilterBank) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# recovery LPs
+# recovery, channel by channel
 
 
-def _pinned_coefficients(observed, pairs_matrix: np.ndarray, A: float) -> np.ndarray:
-    """Recover the retained coefficients b from observed = (1/A)·Rᵀb.
+@dataclass(frozen=True)
+class _ChannelSystem:
+    """Channel q's retained coefficients as b = B·α in real Fourier coordinates.
 
-    Solving R Rᵀ z = A·observed by least squares and setting b = R z kills
-    the kernel ambiguity exactly: any solution z differs from the truth by an
-    element of ker(R Rᵀ) = ker(Rᵀ)… applied through R that difference
-    vanishes, so b is the true coefficient vector whenever observed really is
-    a truncated sum.  Inconsistent input is silently projected onto the range
-    of the truncation operator.
+    Coordinate j of α is the inner product with √(2/N)·cos or sin(2π·g_j·n/N)
+    for a half-spectrum bin g_j that q owns (1/√N·cos at g = 0 and N/2): an
+    orthonormal basis U of V_q with φ(q) columns.  Row s of B is a retained
+    shift, B = W·diag(sv)·vt is its thin SVD, and t = Uᵀ·observed.  The
+    first ``rank`` rows of vt are the directions the retained shifts
+    determine.
     """
-    G = pairs_matrix @ pairs_matrix.T
-    z, *_ = np.linalg.lstsq(G, A * np.asarray(observed, dtype=float), rcond=None)
-    return pairs_matrix.T @ z
+
+    q: int
+    bins: np.ndarray  # g_j per coordinate
+    sine: np.ndarray  # True where coordinate j is the sine of its bin
+    w: np.ndarray  # the basis norm factor of coordinate j
+    sv: np.ndarray
+    vt: np.ndarray
+    t: np.ndarray
+    rank: int
+
+
+def _channel_systems(observed, pairs, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
+    """One :class:`_ChannelSystem` per distinct channel q of a tight uniform bank.
+
+    The rows L_{pk}c_q lie in V_q and the V_q are orthogonal, so the
+    coefficient constraints split by channel.  In U's coordinates
+    ⟨x, L_s c_q⟩ = Σ_j N·w_j·(cos or sin)(2π·g_j·s/N)·α_j, with w_j = √(2/N)
+    (1/√N at the edge bins), and one rfft of observed gives every t.  The
+    rank cut s > 1e−10·max σ runs over all channels at once: the singular
+    values of the stacked rows R are the union of the channels', so this is
+    the cut of the simplex's row reduction on R.
+    """
+    N, p = bank.n, bank.ratio
+    X = np.fft.rfft(observed)
+    half = np.arange(N // 2 + 1)
+    owner = _bin_channel(half, N)
+    norm = np.where((half == 0) | (2 * half == N), 1.0 / math.sqrt(N), math.sqrt(2.0 / N))
+    k, i = np.array(_checked_pairs(bank, pairs), dtype=int).reshape(-1, 2).T
+    q_of = np.array(bank.qs)[i]
+    systems = []
+    for q in sorted(set(bank.qs)):
+        g = half[owner == q]
+        bins = np.concatenate([g, g[(g != 0) & (2 * g != N)]])
+        sine = np.arange(bins.size) >= g.size
+        w = norm[bins]
+        s = p * k[q_of == q]
+        angle = (2.0 * np.pi / N) * ((s[:, None] * bins) % N)
+        B = N * w * np.where(sine, np.sin(angle), np.cos(angle))
+        if s.size:
+            _, sv, vt = np.linalg.svd(B, full_matrices=False)
+        else:
+            sv, vt = np.zeros(0), np.zeros((0, bins.size))
+        t = w * np.where(sine, -X[bins].imag, X[bins].real)
+        systems.append(_ChannelSystem(q, bins, sine, w, sv, vt, t, rank=0))
+    cut = 1e-10 * max((s.sv[0] for s in systems if s.sv.size), default=0.0)
+    return [replace(s, rank=int(np.sum(s.sv > cut))) for s in systems]
+
+
+def _spectrum(N: int, system: _ChannelSystem, coords: np.ndarray) -> np.ndarray:
+    """rfft of U·a for each row a of coords (U the system's basis of V_q)."""
+    cos, sin = ~system.sine, system.sine
+    S = np.zeros((coords.shape[0], N // 2 + 1), dtype=complex)
+    S[:, system.bins[cos]] = coords[:, cos] / system.w[cos]
+    S[:, system.bins[sin]] -= 1j * coords[:, sin] / system.w[sin]
+    return S
+
+
+def _solve_channels(observed, pairs, bank: RamanujanFilterBank, killed=()) -> np.ndarray:
+    """min ‖x′‖₁ over the x′ whose channels match observed, those in ``killed`` at zero.
+
+    Channel q's particular solution is α_q = A·(BᵀB)⁺·t on its determined
+    directions.  A killed channel is determined entirely, at zero.  When
+    every channel is determined, the answer is the particular solution x_p;
+    otherwise the ℓ1 program runs on the orthonormal determined directions
+    C of every channel, with C·x′ = C·x_p.
+    """
+    observed = _checked_signal(observed, bank)
+    A = bank.tight_bound()
+    N = bank.n
+    X_p = np.zeros(N // 2 + 1, dtype=complex)
+    rows, full = [], True
+    for s in _channel_systems(observed, pairs, bank):
+        if s.q in killed:
+            if np.linalg.norm(s.t) > 1e-7 * np.linalg.norm(observed):
+                raise PreconditionError(
+                    f"observation has energy in channel {s.q}, outside the declared periods"
+                )
+            rows.append(_spectrum(N, s, np.eye(s.bins.size)))
+            continue
+        V = s.vt[: s.rank]
+        alpha = A * (V.T @ ((V @ s.t) / s.sv[: s.rank] ** 2))
+        X_p += _spectrum(N, s, alpha[None, :])[0]
+        rows.append(_spectrum(N, s, V))
+        full &= s.rank == s.bins.size
+    x_p = np.fft.irfft(X_p, n=N)
+    if full:
+        return x_p
+    C = np.fft.irfft(np.vstack(rows), n=N, axis=1)
+    return solve_l1_lp(C, C @ x_p).x if len(C) else x_p
 
 
 def recover_missing(observed, pairs, bank: RamanujanFilterBank) -> np.ndarray:
     """min ‖x′‖₁ subject to the retained coefficients matching the observation.
+
+    Solved channel by channel (:func:`_solve_channels`): a channel whose
+    retained shifts span V_q is recovered by a φ(q)-dimensional linear solve,
+    and the simplex runs only when some channel's shifts fall short.
 
     Parameters
     ----------
@@ -158,12 +253,7 @@ def recover_missing(observed, pairs, bank: RamanujanFilterBank) -> np.ndarray:
     pairs : iterable of (k, i)
         The retained coefficient set 𝒥.
     """
-    observed = _checked_signal(observed, bank)
-    A = bank.tight_bound()
-    R = coefficient_rows(bank, pairs)
-    if not len(R):
-        return np.zeros(bank.n)
-    return solve_l1_lp(R, _pinned_coefficients(observed, R.T, A)).x
+    return _solve_channels(observed, pairs, bank)
 
 
 def recover_missing_periodic(
@@ -171,28 +261,22 @@ def recover_missing_periodic(
 ) -> np.ndarray:
     """recover_missing plus hard zeros on every channel outside ``periods``.
 
-    For each divisor q of N not listed in periods, the constraints
-    ⟨x′, L_ℓ c_q⟩ = 0 for ℓ = 0..φ(q)−1 force the entire channel-q output of
-    x′ to vanish (φ(q) consecutive shifts already span the channel's
-    subspace).  Note q = 1 — the mean — is zeroed too unless listed.
+    The coordinates of each divisor q of N not listed in periods are dropped
+    (fixed at zero); q = 1, the mean, is zeroed too unless listed.
+
+    Raises
+    ------
+    PreconditionError
+        If a period does not divide N, or the observation carries energy
+        (above 1e−7 relative) in a channel outside ``periods``.
     """
-    observed = _checked_signal(observed, bank)
-    A = bank.tight_bound()
-    R = coefficient_rows(bank, pairs)
     prof = divisors(bank.n)
     periods = sorted(set(int(q) for q in periods))
     for q in periods:
         if q not in prof.divisors:
             raise PreconditionError(f"period {q} is not a divisor of N={bank.n}")
-    kill = coefficient_rows(uniform_bank(bank.n, 1), [
-        (ell, i) for i, q in enumerate(prof.divisors) if q not in periods
-        for ell in range(totient(q))
-    ])
-    rows = np.vstack([R, kill])
-    if not len(rows):
-        return np.zeros(bank.n)
-    pinned = _pinned_coefficients(observed, R.T, A) if len(R) else []
-    return solve_l1_lp(rows, np.concatenate([pinned, np.zeros(len(kill))])).x
+    killed = {q for q in prof.divisors if q not in periods}
+    return _solve_channels(observed, pairs, bank, killed)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
     rebuilt from a snapshot of its entry state (accumulated pivot noise
     would otherwise turn zero-step plateau pivots into tiny fake steps of
     either sign), and RHS entries below noise level are snapped to exact
-    zero so degenerate ratios compare as exact ties.
+    zero so degenerate ratios compare as exact ties.  An improving column
+    with no pivot row is priced again on a refactored tableau before any
+    verdict; if it persists under a cost ≥ 0, which bounds the objective
+    below, the verdict is a numerical breakdown, never "unbounded".
     """
     m = T.shape[0]
     snapshot = T.copy()  # ground truth for refactorisation
@@ -80,6 +83,7 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
     it = 0
     stall = 0
     bland = False
+    repriced = False
     last_obj = np.inf
     clean_rhs()
     while True:
@@ -100,7 +104,17 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
             )
         rmin = float(ratios.min())
         if not np.isfinite(rmin):
+            if not repriced:  # the column may be pivot noise: rebuild, price again
+                refactor()
+                repriced = True
+                continue
+            if cost[:ncols].min(initial=0.0) >= 0.0:
+                raise SolverError(
+                    "numerical breakdown: no pivot row for an improving column, "
+                    "but the cost is bounded below"
+                )
             raise SolverError("linear program is unbounded")
+        repriced = False
         ties = np.flatnonzero(ratios <= rmin + 1e-15 + 1e-12 * rmin)
         if bland:
             leave = int(ties[int(np.argmin(np.asarray(basis)[ties]))])

@@ -325,8 +325,11 @@ def _survivor_bounds(bank: RamanujanFilterBank, erased) -> tuple[np.ndarray, np.
     for i, (ch, ks) in enumerate(zip(bank.channels, erased_by_channel)):
         if not ks:
             continue
-        k = np.array(ks)
-        mu = np.linalg.eigvalsh(N * bank.filter_matrix[i, ch.p * (k[:, None] - k) % N])
+        if len(ks) == 1:  # the 1×1 Gram N·c_q(0) = N·φ(q)
+            mu = N * bank.filter_matrix[i, :1]
+        else:
+            k = np.array(ks)
+            mu = np.linalg.eigvalsh(N * bank.filter_matrix[i, ch.p * (k[:, None] - k) % N])
         lo[i] = A - mu[-1]
         if len(ks) >= totient(ch.q):
             hi[i] = A - mu[len(ks) - totient(ch.q)]

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
+import rframes.simplex as simplex
 from conftest import vertex_enumeration_min
-from rframes import PreconditionError, SolverError, l1_fit, simplex_solve, solve_l1_lp
+from rframes import (
+    PreconditionError,
+    SolverError,
+    all_pairs,
+    l1_fit,
+    simplex_solve,
+    solve_l1_lp,
+    uniform_bank,
+)
+from rframes.experiments import sparse_top_channel
+from rframes.recovery import coefficient_rows
 
 
 def test_textbook_example():
@@ -178,3 +189,40 @@ def test_duality_gap_certificates(rng):
             continue
         assert np.allclose(A @ res.x, b, atol=1e-7)
         assert res.x.min() >= -1e-9
+
+
+def test_no_pivot_under_a_nonnegative_cost_is_a_breakdown():
+    # a pivot-noise column: reduced cost −5e-9 improves, but its only entry
+    # is below the pivot tolerance; with cost ≥ 0 the LP cannot be unbounded
+    T = np.array([[1.0, 5e-10, 1.0]])
+    with pytest.raises(SolverError, match="numerical breakdown") as exc:
+        simplex._run(T, [0], np.array([10.0, 0.0]), 2, 100)
+    assert "unbounded" not in str(exc.value)
+
+
+def _ten_percent_drop_lp(N, draw):
+    """The ℓ1 program over every retained coefficient row, b = R·x (not channel-split)."""
+    bank = uniform_bank(N, 1)
+    pairs = all_pairs(bank)
+    gone = set(np.random.default_rng(draw).choice(
+        len(pairs), size=len(pairs) // 10, replace=False).tolist())
+    R = coefficient_rows(bank, [pr for j, pr in enumerate(pairs) if j not in gone])
+    x = np.roll(sparse_top_channel(N), 3)
+    return R, R @ x, x
+
+
+def test_ten_percent_drop_lp_at_120_solves():
+    R, b, x = _ten_percent_drop_lp(120, 0)
+    res = solve_l1_lp(R, b)
+    assert np.isclose(res.objective, 8.0, rtol=1e-9)
+    assert np.abs(res.x - x).max() < 1e-9
+
+
+def test_ten_percent_drop_lp_at_150_is_never_called_unbounded():
+    R, b, _ = _ten_percent_drop_lp(150, 0)
+    try:
+        res = solve_l1_lp(R, b)
+    except SolverError as exc:
+        assert "unbounded" not in str(exc)
+    else:
+        assert np.isclose(res.objective, 8.0, rtol=1e-9)

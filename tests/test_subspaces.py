@@ -398,6 +398,24 @@ def test_survivor_bounds_match_trig_oracle(N, p):
             assert abs(hi[i] - on_v[-1]) <= 1e-12 * A, (N, p, i)
 
 
+@pytest.mark.parametrize("N,p", [(30, 1), (126, 1), (210, 2)])
+def test_single_erasure_per_channel_reads_the_closed_form(N, p):
+    # one erased shift leaves the 1×1 Gram N·φ(q): the bounds equal the
+    # eigen solve's bit for bit and match the survivors' operator
+    bank = uniform_bank(N, p)
+    A = bank.tight_bound()
+    rng = np.random.default_rng(N + p)
+    erased = [(int(rng.integers(N // p)), i) for i in range(len(bank.channels))]
+    lo, hi = subspaces._survivor_bounds(bank, erased)
+    for i, q in enumerate(bank.qs):
+        mu = np.linalg.eigvalsh(np.array([[float(N * totient(q))]]))[0]
+        assert lo[i] == A - mu, (N, q)
+        assert hi[i] == (A - mu if totient(q) == 1 else A), (N, q)
+    eigs = np.linalg.eigvalsh(_survivor_operator(bank, erased))
+    assert abs(lo.min() - eigs[0]) <= 1e-12 * A
+    assert abs(hi.max() - eigs[-1]) <= 1e-12 * A
+
+
 def test_fusion_upper_bound_with_more_than_n_erasures():
     # 8 erasures in Z_6: the q = 3 and q = 6 channels lose both dimensions'
     # worth of shifts, and their survivors top out at 36 − 6 = 30 = (5/6)·A
