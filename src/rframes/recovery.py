@@ -34,6 +34,7 @@ from .filterbank import (
     analyze,
     channel_energies,
     coefficient_rows,
+    synthesize,
 )
 from .numtheory import _bin_channel, divisors, totient
 from .simplex import l1_fit, solve_l1_lp
@@ -125,12 +126,15 @@ def truncated_sum(x, pairs, bank: RamanujanFilterBank) -> np.ndarray:
 
     With the full pair set this is the tight-frame reconstruction of x; with
     pairs missing it is the lossy partial sum the recovery problems start
-    from.
+    from.  Computed as one :func:`analyze`, with the coefficients outside
+    pairs zeroed, and one :func:`synthesize`.
     """
-    x = _checked_signal(x, bank)
-    A = bank.tight_bound()
-    R = coefficient_rows(bank, pairs)
-    return (R.T @ (R @ x)) / A
+    bank.tight_bound()  # first: a non-uniform bank's coefficient arrays differ in length
+    coeffs = np.array(analyze(x, bank))
+    kept = np.zeros(coeffs.shape, dtype=bool)
+    k, i = np.array(_checked_pairs(bank, pairs), dtype=int).reshape(-1, 2).T
+    kept[i, k] = True
+    return synthesize(np.where(kept, coeffs, 0.0), bank)
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +291,17 @@ def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     """Orthonormal basis (columns) of {v : ⟨v, f_j⟩ = 0 for every pair j ∉ pairs}.
 
     Computed as the numerical null space (SVD, cutoff 1e−10·σ_max) of the
-    complement's coefficient rows.
+    complement's coefficient rows R: the rows of V beyond rank(R).  U is never
+    needed, so a tall R (at least N rows) takes the thin SVD, whose V is
+    already N×N; a wide R takes the full SVD, because its thin V stops at
+    len(R) rows and would lose the null directions.
     """
     keep = set(_checked_pairs(bank, pairs))
     complement = [pr for pr in all_pairs(bank) if pr not in keep]
     if not complement:
         return np.eye(bank.n)
     R = coefficient_rows(bank, complement)
-    _, sv, vh = np.linalg.svd(R)
+    _, sv, vh = np.linalg.svd(R, full_matrices=len(R) < bank.n)
     rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
     if rank >= bank.n:
         raise PreconditionError(

@@ -39,7 +39,7 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
     f = T[:, col].copy()
     f[row] = 0.0
-    T -= np.outer(f, T[row])
+    T -= np.einsum("i,j->ij", f, T[row])  # np.outer's products, without its broadcast overhead
     basis[row] = col
 
 
@@ -85,10 +85,11 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
     bland = False
     repriced = False
     last_obj = np.inf
+    cn = cost[:ncols]
+    cb = cost[basis]  # kept in step with basis at every pivot
     clean_rhs()
     while True:
-        y = cost[basis] @ T[:, :ncols]
-        reduced = cost[:ncols] - y
+        reduced = cn - cb @ T[:, :ncols]
         if bland:
             eligible = np.flatnonzero(reduced < -_RC_TOL)
             enter = int(eligible[0]) if eligible.size else -1
@@ -98,36 +99,35 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
         if enter < 0:
             return it
         col = T[:, enter]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(
-                col > _PIVOT_TOL, np.maximum(T[:, -1], 0.0) / col, np.inf
-            )
-        rmin = float(ratios.min())
+        rows = np.flatnonzero(col > _PIVOT_TOL)  # the ratio test's eligible rows
+        ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
+        rmin = float(ratios.min(initial=np.inf))
         if not np.isfinite(rmin):
             if not repriced:  # the column may be pivot noise: rebuild, price again
                 refactor()
                 repriced = True
                 continue
-            if cost[:ncols].min(initial=0.0) >= 0.0:
+            if cn.min(initial=0.0) >= 0.0:
                 raise SolverError(
                     "numerical breakdown: no pivot row for an improving column, "
                     "but the cost is bounded below"
                 )
             raise SolverError("linear program is unbounded")
         repriced = False
-        ties = np.flatnonzero(ratios <= rmin + 1e-15 + 1e-12 * rmin)
+        ties = rows[ratios <= rmin + 1e-15 + 1e-12 * rmin]
         if bland:
             leave = int(ties[int(np.argmin(np.asarray(basis)[ties]))])
         else:
             leave = int(ties[int(np.argmax(col[ties]))])
         _pivot(T, basis, leave, enter)
+        cb[leave] = cost[enter]
         clean_rhs()
         it += 1
         if it > max_iter:
             raise SolverError(f"simplex exceeded {max_iter} iterations")
         if it % _REFACTOR == 0:
             refactor()
-        obj = float(cost[basis] @ T[:, -1])
+        obj = float(cb @ T[:, -1])
         if obj < last_obj - 1e-12 * max(1.0, abs(last_obj)):
             last_obj = obj
             stall = 0
@@ -158,6 +158,12 @@ def simplex_solve(c, A, b, max_iter: int | None = None) -> LpResult:
             f"shape mismatch: A is {m0}x{n}, b has {b0.shape[0]}, c has {c.shape[0]}"
         )
     bscale = max(1.0, float(np.abs(b0).max(initial=0.0)))
+    if c.min(initial=0.0) >= 0.0 and bscale * 1e-11 > float(np.abs(b0).max(initial=0.0)):
+        # b sits below _run's RHS snap level, so the tableau would start at b = 0 and
+        # walk its degenerate vertices to the iteration cap.  x = 0 is optimal under
+        # c ≥ 0: primal feasible to that level, y = 0 dual feasible, gap 0.
+        return LpResult(x=np.zeros(n), objective=0.0, iterations=0, phase1_iterations=0,
+                        dropped_rows=())
 
     # row reduction: keep only the independent directions of the row space
     u, sv, vh = np.linalg.svd(A0, full_matrices=False)

@@ -5,9 +5,12 @@ The oracles: shifted trigonometric sums restricted to the DFT-mask subspaces
 and HiGHS when scipy imports.
 """
 
+import time
+
 import numpy as np
 import pytest
 
+import rframes.simplex as simplex
 from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
     PreconditionError,
@@ -49,6 +52,28 @@ def test_ten_percent_drops_recover_exactly(N, draw):
     x = np.roll(sparse_top_channel(N), 3)
     xhat = recover_missing(truncated_sum(x, retained, bank), retained, bank)
     assert np.abs(xhat - x).max() <= 1e-12 * np.abs(x).max()
+
+
+def test_an_observation_with_every_coefficient_dropped_is_zero_at_once(monkeypatch):
+    # draw 1 drops every nonzero coefficient of x at 80%: the observation is
+    # rounding noise, and the ℓ1 program on it has b = 0 to the tableau's
+    # snap level, whose degenerate vertices used to run to the iteration cap
+    bank = uniform_bank(462, 1)
+    retained = _drop(bank, 0.8, 1)
+    observed = truncated_sum(np.roll(sparse_top_channel(462), 3), retained, bank)
+    assert np.abs(observed).max() < 1e-11
+
+    def no_pivots(*args):
+        raise AssertionError("the simplex pivoted on a zero right-hand side")
+
+    monkeypatch.setattr(simplex, "_run", no_pivots)
+    seconds = []
+    for _ in range(2):  # the faster of two calls, so a machine stall cannot fail it
+        start = time.perf_counter()
+        xhat = recover_missing(observed, retained, bank)
+        seconds.append(time.perf_counter() - start)
+        assert np.array_equal(xhat, np.zeros(462))
+    assert min(seconds) < 1.0
 
 
 def _oracle_null_dims(bank, retained):

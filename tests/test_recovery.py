@@ -1,9 +1,12 @@
 """Uncertainty counts, ℓ1 recovery/denoising, support detection, noise models."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+
+from conftest import dft_subspace_projector, trig_ramanujan
 
 from rframes import (
     GaussianNoiseModel,
@@ -131,6 +134,28 @@ def test_truncated_sum_matches_direct_formula(rng):
     assert np.array_equal(truncated_sum(x, [], bank), np.zeros(12))
 
 
+def test_truncated_sum_matches_the_coefficient_rows():
+    # Rᵀ(R·x)/A over the stacked shift rows, against the analyze/synthesize route
+    checked = 0
+    for N in (6, 12, 30, 42, 60, 70, 105, 126, 210):
+        for p in (1, 2):
+            if N % p or not uniform_bank(N, p).report.tight:
+                continue
+            bank = uniform_bank(N, p)
+            pairs = all_pairs(bank)
+            rng = np.random.default_rng(N + p)
+            for fraction in (0.05, 0.5, 0.9, 1.0):
+                size = max(1, int(fraction * len(pairs)))
+                subset = [pairs[j] for j in rng.choice(len(pairs), size=size, replace=False)]
+                x = rng.standard_normal(N)
+                R = coefficient_rows(bank, subset)
+                want = R.T @ (R @ x) / bank.tight_bound()
+                got = truncated_sum(x, subset, bank)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (N, p, fraction)
+                checked += 1
+    assert checked >= 50
+
+
 def test_pair_validation():
     bank = uniform_bank(12, 1)
     x = np.ones(12)
@@ -217,6 +242,67 @@ def test_membership_null_basis_trivial_set_raises():
     bank = uniform_bank(6, 1)
     with pytest.raises(PreconditionError):
         membership_null_basis(bank, [])  # complement spans everything
+
+
+@functools.cache
+def _mask_basis(q: int, N: int) -> np.ndarray:
+    """Orthonormal basis (columns) of V_q from the DFT-mask projector."""
+    w, v = np.linalg.eigh(dft_subspace_projector(q, N))
+    return v[:, w > 0.5]
+
+
+def _memberships():
+    """Whole-channel and seeded sparse memberships, N ≤ 60 and p ∈ {1, 2}."""
+    for N in (6, 12, 18, 30, 42, 60):
+        for p in (1, 2):
+            bank = uniform_bank(N, p)
+            pairs = all_pairs(bank)
+            K = len(bank.channels)
+            rng = np.random.default_rng(10 * N + p)
+            for _ in range(2):
+                chosen = set(rng.choice(K, size=int(rng.integers(1, K)), replace=False).tolist())
+                yield bank, [pr for pr in pairs if pr[1] in chosen]
+            for fraction in (0.2, 0.6, 0.9):
+                size = int(fraction * len(pairs))
+                yield bank, [pairs[j] for j in rng.choice(len(pairs), size=size, replace=False)]
+    # six complement rows against N = 12: a thin SVD would stop at 5 columns
+    bank = uniform_bank(12, 2)
+    yield bank, [pr for pr in all_pairs(bank) if bank.qs[pr[1]] != 1]
+
+
+def test_membership_null_basis_against_the_dft_masks():
+    # channel i's complement rows lie in V_q, so the null space is the sum over
+    # channels of V_q minus their span: its dimension comes from trig-sum shifts
+    # in the DFT-mask basis, and must equal N − rank from the full SVD
+    tall = wide = 0
+    for bank, membership in _memberships():
+        N, p = bank.n, bank.ratio
+        keep = set(membership)
+        complement = [(k, i) for k, i in all_pairs(bank) if (k, i) not in keep]
+        rows = np.array([np.roll(trig_ramanujan(bank.qs[i], N), p * k)
+                         for k, i in complement]).reshape(-1, N)
+        sv = np.linalg.svd(rows, compute_uv=False)
+        cut = 1e-10 * sv[0]
+        dims = {}
+        for i, q in enumerate(bank.qs):
+            block = rows[[j for j, (_, i2) in enumerate(complement) if i2 == i]] @ _mask_basis(q, N)
+            ssv = np.linalg.svd(block, compute_uv=False) if block.size else np.zeros(0)
+            dims[q] = totient(q) - int(np.sum(ssv > cut))
+        dim = sum(dims.values())
+        assert dim == N - int(np.sum(sv > cut)), (N, p, len(membership))
+        if dim == 0:
+            with pytest.raises(PreconditionError):
+                membership_null_basis(bank, membership)
+            continue
+        B = membership_null_basis(bank, membership)
+        assert B.shape == (N, dim), (N, p, len(membership))
+        assert np.abs(B.T @ B - np.eye(dim)).max() < 1e-10
+        assert np.abs(rows @ B).max() < 1e-9 * N
+        for q, want in dims.items():
+            assert np.isclose(np.linalg.norm(_mask_basis(q, N).T @ B) ** 2, want, atol=1e-8)
+        tall += len(complement) >= N
+        wide += len(complement) < N
+    assert tall >= 20 and wide >= 10
 
 
 def test_denoise_passes_clean_members_through(rng):

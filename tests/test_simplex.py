@@ -111,6 +111,19 @@ def test_result_reports_iterations():
     assert np.isclose(res.objective, 1.0, atol=1e-12)
 
 
+def test_right_hand_side_below_the_snap_level_is_zero_at_once():
+    # b under 1e-11 is b = 0 on the tableau, where x = 0 is optimal for c ≥ 0:
+    # the solve returns it before any pivot, with objective 0
+    A = np.array([[1.0, -1.0, 2.0], [0.0, 1.0, 1.0]])
+    b = np.array([3e-12, -1e-12])
+    res = simplex_solve(np.array([1.0, 2.0, 0.0]), A, b)
+    assert res.iterations == 0 and res.objective == 0.0
+    assert np.array_equal(res.x, np.zeros(3)) and res.dropped_rows == ()
+    # a negative cost still runs the simplex: min −x₁ is −(b₁ + b₂), at x₃ = 0
+    res = simplex_solve(np.array([-1.0, 0.0, 0.0]), A, b)
+    assert np.isclose(res.objective, -2e-12, rtol=1e-6, atol=0)
+
+
 def test_l1_single_variable():
     res = solve_l1_lp(np.array([[1.0]]), np.array([3.0]))
     assert np.isclose(res.objective, 3.0, atol=1e-9)
