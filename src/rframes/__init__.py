@@ -52,7 +52,7 @@ from .recovery import (
     truncated_sum,
     uncertainty_report,
 )
-from .simplex import LpResult, l1_fit, simplex_solve, solve_l1_lp
+from .simplex import LpResult, l1_fit, lad_fit, simplex_solve, solve_l1_lp
 from .subspaces import (
     DecompositionCheck,
     FusionErasureReport,
@@ -88,7 +88,7 @@ __all__ = [
     "UncertaintyReport", "uncertainty_report", "all_pairs", "truncated_sum",
     "recover_missing", "recover_missing_periodic", "membership_null_basis",
     "denoise", "detect_support_set", "snr_db", "add_noise",
-    "LpResult", "simplex_solve", "solve_l1_lp", "l1_fit",
+    "LpResult", "simplex_solve", "solve_l1_lp", "l1_fit", "lad_fit",
     "RamanujanSubspace", "subspace_basis", "orthonormalize", "DecompositionCheck",
     "orthogonal_decomposition_check", "rpt_expand", "rank_Q",
     "NonUniformBankSpec", "aliasing_divisors", "build_nonuniform",

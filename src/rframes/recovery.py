@@ -15,8 +15,8 @@ The recovery problems are linear programs over the coefficient constraints:
 
 The first two split by channel: the shifts of c_q span V_q, and the V_q are
 orthogonal.  A channel whose retained shifts still span V_q is recovered by
-a φ(q)-dimensional linear solve; the simplex runs only when some channel's
-retained shifts fall short.
+a φ(q)-dimensional linear solve; an ℓ1 fit over the null coordinates runs
+only when some channel's retained shifts fall short.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .filterbank import (
     synthesize,
 )
 from .numtheory import _bin_channel, divisors, totient
-from .simplex import l1_fit, solve_l1_lp
+from .simplex import l1_fit, lad_fit
 
 __all__ = [
     "UncertaintyReport",
@@ -148,9 +148,9 @@ class _ChannelSystem:
     Coordinate j of α is the inner product with √(2/N)·cos or sin(2π·g_j·n/N)
     for a half-spectrum bin g_j that q owns (1/√N·cos at g = 0 and N/2): an
     orthonormal basis U of V_q with φ(q) columns.  Row s of B is a retained
-    shift, B = W·diag(sv)·vt is its thin SVD, and t = Uᵀ·observed.  The
-    first ``rank`` rows of vt are the directions the retained shifts
-    determine.
+    shift, B = W·diag(sv)·vt is its SVD with vt square (φ(q)×φ(q)), and
+    t = Uᵀ·observed.  The first ``rank`` rows of vt are the directions the
+    retained shifts determine, the rest the null directions.
     """
 
     q: int
@@ -172,7 +172,9 @@ def _channel_systems(observed, pairs, bank: RamanujanFilterBank) -> list[_Channe
     (1/√N at the edge bins), and one rfft of observed gives every t.  The
     rank cut s > 1e−10·max σ runs over all channels at once: the singular
     values of the stacked rows R are the union of the channels', so this is
-    the cut of the simplex's row reduction on R.
+    the cut of the simplex's row reduction on R.  A channel that keeps fewer
+    shifts than φ(q) takes the full SVD, because the thin vt stops at the
+    shift count and would lose null directions.
     """
     N, p = bank.n, bank.ratio
     X = np.fft.rfft(observed)
@@ -191,9 +193,9 @@ def _channel_systems(observed, pairs, bank: RamanujanFilterBank) -> list[_Channe
         angle = (2.0 * np.pi / N) * ((s[:, None] * bins) % N)
         B = N * w * np.where(sine, np.sin(angle), np.cos(angle))
         if s.size:
-            _, sv, vt = np.linalg.svd(B, full_matrices=False)
+            _, sv, vt = np.linalg.svd(B, full_matrices=s.size < bins.size)
         else:
-            sv, vt = np.zeros(0), np.zeros((0, bins.size))
+            sv, vt = np.zeros(0), np.eye(bins.size)
         t = w * np.where(sine, -X[bins].imag, X[bins].real)
         systems.append(_ChannelSystem(q, bins, sine, w, sv, vt, t, rank=0))
     cut = 1e-10 * max((s.sv[0] for s in systems if s.sv.size), default=0.0)
@@ -209,38 +211,42 @@ def _spectrum(N: int, system: _ChannelSystem, coords: np.ndarray) -> np.ndarray:
     return S
 
 
+def _null_directions(N: int, system: _ChannelSystem) -> np.ndarray:
+    """Orthonormal N×(φ(q) − rank) basis of the part of V_q the retained shifts miss."""
+    return np.fft.irfft(_spectrum(N, system, system.vt[system.rank:]), n=N, axis=1).T
+
+
 def _solve_channels(observed, pairs, bank: RamanujanFilterBank, killed=()) -> np.ndarray:
     """min ‖x′‖₁ over the x′ whose channels match observed, those in ``killed`` at zero.
 
     Channel q's particular solution is α_q = A·(BᵀB)⁺·t on its determined
     directions.  A killed channel is determined entirely, at zero.  When
     every channel is determined, the answer is the particular solution x_p;
-    otherwise the ℓ1 program runs on the orthonormal determined directions
-    C of every channel, with C·x′ = C·x_p.
+    otherwise the feasible set is x_p + span(Z), Z the orthonormal null
+    directions of the deficient channels, and the answer is x_p + Z·z, the
+    residual of the least-absolute-deviations fit of x_p by −Z.
     """
     observed = _checked_signal(observed, bank)
     A = bank.tight_bound()
     N = bank.n
     X_p = np.zeros(N // 2 + 1, dtype=complex)
-    rows, full = [], True
+    null = []
     for s in _channel_systems(observed, pairs, bank):
         if s.q in killed:
             if np.linalg.norm(s.t) > 1e-7 * np.linalg.norm(observed):
                 raise PreconditionError(
                     f"observation has energy in channel {s.q}, outside the declared periods"
                 )
-            rows.append(_spectrum(N, s, np.eye(s.bins.size)))
             continue
         V = s.vt[: s.rank]
         alpha = A * (V.T @ ((V @ s.t) / s.sv[: s.rank] ** 2))
         X_p += _spectrum(N, s, alpha[None, :])[0]
-        rows.append(_spectrum(N, s, V))
-        full &= s.rank == s.bins.size
+        if s.rank < s.bins.size:
+            null.append(_null_directions(N, s))
     x_p = np.fft.irfft(X_p, n=N)
-    if full:
+    if not null:
         return x_p
-    C = np.fft.irfft(np.vstack(rows), n=N, axis=1)
-    return solve_l1_lp(C, C @ x_p).x if len(C) else x_p
+    return lad_fit(-np.hstack(null), x_p).residual
 
 
 def recover_missing(observed, pairs, bank: RamanujanFilterBank) -> np.ndarray:
@@ -248,7 +254,8 @@ def recover_missing(observed, pairs, bank: RamanujanFilterBank) -> np.ndarray:
 
     Solved channel by channel (:func:`_solve_channels`): a channel whose
     retained shifts span V_q is recovered by a φ(q)-dimensional linear solve,
-    and the simplex runs only when some channel's shifts fall short.
+    and an ℓ1 fit over the null coordinates runs only when some channel's
+    shifts fall short.
 
     Parameters
     ----------

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex for the ℓ1 subproblems.
+"""Dense simplex solvers for the ℓ1 subproblems.
 
 Standard form min cᵀx s.t. Ax = b, x ≥ 0, with Bland's anti-cycling rule.
 The recovery problems are small (a few hundred variables), heavily degenerate
@@ -6,7 +6,8 @@ The recovery problems are small (a few hundred variables), heavily degenerate
 answers — so phase 1 drops redundant rows instead of failing, the final
 answer is re-solved from the optimal basis against the original data rather
 than read off the accumulated tableau, and every solve self-certifies with a
-primal/dual feasibility + gap check before returning.
+primal/dual feasibility + gap check before returning.  :func:`lad_fit` runs
+the least-absolute-deviations form min ‖y − Bz‖₁ on the N×k fit itself.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import PreconditionError, SolverError
 
-__all__ = ["LpResult", "simplex_solve", "solve_l1_lp", "l1_fit"]
+__all__ = ["LpResult", "simplex_solve", "solve_l1_lp", "l1_fit", "lad_fit"]
 
 _PIVOT_TOL = 1e-9
 _RC_TOL = 1e-9  # reduced-cost threshold for entering variables
@@ -25,7 +26,7 @@ _RC_TOL = 1e-9  # reduced-cost threshold for entering variables
 
 @dataclass(frozen=True)
 class LpResult:
-    """Certified optimum of min cᵀx s.t. Ax = b, x ≥ 0."""
+    """Certified optimum of min cᵀx s.t. Ax = b, x ≥ 0, or of an ℓ1 fit (x = z)."""
 
     x: np.ndarray
     objective: float
@@ -33,6 +34,8 @@ class LpResult:
     phase1_iterations: int
     dropped_rows: tuple[int, ...]  # redundant constraint rows removed in phase 1
     status: str = "optimal"
+    residual: np.ndarray | None = None  # y − B·z of a fit (lad_fit)
+    dual: np.ndarray | None = None  # the fit's certifying dual u (lad_fit)
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -290,3 +293,183 @@ def l1_fit(B, y) -> LpResult:
         x=z, objective=res.objective, iterations=res.iterations,
         phase1_iterations=res.phase1_iterations, dropped_rows=res.dropped_rows,
     )
+
+
+def lad_fit(B, y) -> LpResult:
+    """Minimize ‖y − Bz‖₁ over free z: a least-absolute-deviations fit.
+
+    A Barrodale–Roberts primal simplex (SIAM J. Numer. Anal. 1973) on the
+    N×k fit itself, not on the N-row standard form of :func:`l1_fit`.  A
+    vertex is a basis of k constraints, each either a row i held at
+    residual 0 or, until it is released, a coordinate z_j held at 0; G is
+    their k×k matrix and G⁻¹ is kept by rank-one updates, rebuilt from G
+    every few steps.  Every row off the basis carries a sign s_i, the sign
+    of its residual, and keeps it while that residual is zero, so that
+    degenerate vertices are told apart.  v = G⁻ᵀB_Nᵀs_N prices the basis:
+    releasing a coordinate descends at rate |v_j|, a row at |v_j| − 1.
+    Stage 1 (``phase1_iterations``) releases every coordinate, the largest
+    |v_j| first and even at rate 0, so that the fit ends on a vertex; a
+    coordinate whose release moves no residual, a null direction of B,
+    stays at 0.  Stage 2 releases the row of largest |v_j| > 1.  The step is
+    an exact line search: the objective is convex and piecewise linear
+    along the ray, with breakpoints t_i = r_i/w_i where the residuals
+    r − t·w reach zero, and the step stops at their weighted median, so one
+    step can pass several vertices.  After 2N + 50 steps without descent
+    the rule falls back to Bland's (lowest label in, nearest breakpoint
+    with the lowest row index out), which keeps degenerate plateaus
+    finite, as in :func:`_run`.
+
+    The answer is re-solved from the final basis against the original B
+    and y and certified: u = s off the basis and Gᵀ-solved on it must have
+    |u| ≤ 1, Bᵀu = 0 and ‖y − Bz‖₁ − yᵀu ≤ 1e−8 relative (the LP dual
+    max yᵀu s.t. Bᵀu = 0, |u| ≤ 1); SolverError otherwise.  A y below the
+    snap level 1e−11·max(1, ‖y‖∞) is y = 0, fitted by z = 0 without a step.
+    ``residual`` is y − Bz with the basis rows at exact zero; ``dual`` is u.
+
+    Missing-coefficient recovery fits through here; ``denoise`` still runs
+    :func:`l1_fit`, whose table-2 vertices move with any change of solver.
+    Once denoise moves, the ±I form of :func:`l1_fit` is deleted.
+    """
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    n, k = B.shape
+    y = np.asarray(y, dtype=float).ravel()
+    if y.shape[0] != n:
+        raise PreconditionError(f"y has {y.shape[0]} entries, B has {n} rows")
+    ymax = float(np.abs(y).max(initial=0.0))
+    snap = 1e-11 * max(1.0, ymax)
+    if ymax < snap:
+        zeros = np.zeros(n)
+        return LpResult(x=np.zeros(k), objective=0.0, iterations=0, phase1_iterations=0,
+                        dropped_rows=(), residual=zeros, dual=zeros)
+    max_iter = 2000 + 50 * (n + k)
+
+    basis = np.arange(-k, 0)  # label −k + j: coordinate z_j held at 0; label i ≥ 0: row i
+    on = np.zeros(n, dtype=bool)  # rows in the basis
+    s = np.where(y < 0, -1.0, 1.0)
+
+    def system() -> tuple[np.ndarray, np.ndarray]:
+        rows = basis >= 0
+        G = np.zeros((k, k))
+        G[rows] = B[basis[rows]]
+        G[np.flatnonzero(~rows), basis[~rows] + k] = 1.0
+        return G, np.where(rows, y[np.maximum(basis, 0)], 0.0)
+
+    def settle(r: np.ndarray) -> np.ndarray:
+        r[on] = 0.0
+        r[np.abs(r) < snap] = 0.0
+        s[r != 0.0] = np.sign(r[r != 0.0])
+        return r
+
+    def refactor() -> None:
+        nonlocal Ginv, r
+        G, h = system()
+        try:
+            Ginv = np.linalg.inv(G)
+        except np.linalg.LinAlgError:
+            return  # keep the running inverse; the end-of-fit checks still guard
+        r = settle(y - B @ (Ginv @ h))
+
+    Ginv = np.eye(k)
+    stuck = np.zeros(k, dtype=bool)  # coordinates whose release moves no residual
+    r = settle(y.copy())
+    it = it1 = stall = 0
+    bland = repriced = False
+    last_obj = float(np.abs(r).sum())
+    while True:
+        v = Ginv.T @ (B.T @ np.where(on, 0.0, s))
+        free = basis < 0
+        rate = np.where(free, np.abs(v), np.abs(v) - 1.0)  # descent rate of a release
+        first = np.flatnonzero(free & ~stuck)
+        if first.size:  # stage 1: every coordinate enters, even at rate 0
+            j = int(first[np.argmax(rate[first])])
+        else:
+            eligible = np.flatnonzero(~free & (rate > _RC_TOL))
+            if not eligible.size:
+                break
+            if bland:
+                j = int(eligible[np.argmin(basis[eligible])])
+            else:
+                j = int(eligible[np.argmax(rate[eligible])])
+        delta = 1.0 if v[j] > 0 else -1.0
+        d = delta * Ginv[:, j]
+        w = B @ d  # residuals move as r − t·w
+        cand = np.flatnonzero(~on & (s * w > _PIVOT_TOL))
+        t = np.maximum(r[cand] / w[cand], 0.0)
+        if bland:
+            stop = float(t.min(initial=np.inf))
+            passed = cand[:0]
+        else:  # the slope −rate[j] rises by 2|w_i| at each breakpoint passed
+            order = np.argsort(t, kind="stable")
+            crossed = 2.0 * np.cumsum(np.abs(w[cand[order]])) >= rate[j]
+            at = int(np.argmax(crossed)) if crossed.size else 0
+            stop = float(t[order[at]]) if crossed.size and crossed[at] else np.inf
+            passed = cand[order[:at]]
+        if not np.isfinite(stop):
+            if basis[j] < 0 and rate[j] <= _RC_TOL:
+                stuck[j] = True  # a null direction of B: z_j stays at 0
+                continue
+            if not repriced:  # the direction may be noise in G⁻¹: rebuild, price again
+                refactor()
+                repriced = True
+                continue
+            raise SolverError(
+                "numerical breakdown: no breakpoint ends a descent ray, "
+                "but an ℓ1 fit is bounded below"
+            )
+        repriced = False
+        ties = cand[np.abs(t - stop) <= 1e-15 + 1e-12 * stop]
+        if bland:
+            enter = int(ties.min())
+        else:
+            enter = int(ties[np.argmax(np.abs(w[ties]))])
+        if basis[j] >= 0:
+            on[basis[j]] = False
+            s[basis[j]] = -delta
+        else:
+            it1 += 1
+        s[passed[passed != enter]] *= -1.0
+        on[enter] = True
+        row = B[enter] @ Ginv  # G's row j becomes B[enter]: a rank-one update of G⁻¹
+        col = Ginv[:, j].copy()
+        row[j] -= 1.0
+        Ginv -= np.outer(col, row / (row[j] + 1.0))
+        basis[j] = enter
+        r = settle(r - stop * w)
+        it += 1
+        if it > max_iter:
+            raise SolverError(f"ℓ1 fit exceeded {max_iter} iterations")
+        if it % _REFACTOR == 0:
+            refactor()
+        obj = float(np.abs(r).sum())
+        if obj < last_obj - 1e-12 * max(1.0, last_obj):
+            last_obj = obj
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall == 2 * n + 50:
+                bland = True
+                refactor()
+
+    G, h = system()
+    rows = basis >= 0
+    try:
+        z = np.linalg.solve(G, h)
+        lam = np.linalg.solve(G.T, -(B.T @ np.where(on, 0.0, s)))
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("optimal basis is numerically singular") from exc
+    r = y - B @ z
+    u = np.where(on, 0.0, s)
+    u[basis[rows]] = lam[rows]
+    obj = float(np.abs(r).sum())
+    scale = max(1.0, float(np.abs(B).sum(axis=0).max(initial=0.0)))
+    if float(np.abs(u).max(initial=0.0)) > 1.0 + 1e-7:
+        raise SolverError("fit failed the dual feasibility self-check: |u| > 1")
+    if float(np.abs(B.T @ u).max(initial=0.0)) > 1e-7 * scale:
+        raise SolverError("fit failed the dual feasibility self-check: Bᵀu ≠ 0")
+    gap = abs(obj - float(y @ u))
+    if gap > 1e-8 * max(1.0, obj):
+        raise SolverError(f"duality gap {gap:.3g} exceeds tolerance")
+    r[on] = 0.0
+    return LpResult(x=z, objective=obj, iterations=it, phase1_iterations=it1,
+                    dropped_rows=(), residual=r, dual=u)

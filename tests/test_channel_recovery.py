@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import rframes.recovery as recovery
 import rframes.simplex as simplex
 from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
@@ -25,7 +26,7 @@ from rframes import (
 from rframes.cli import main
 from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows
 from rframes.io import write_pairs, write_signal
-from rframes.recovery import _channel_systems, coefficient_rows
+from rframes.recovery import _channel_systems, _null_directions, coefficient_rows
 
 
 def _drop(bank, fraction, draw):
@@ -66,7 +67,16 @@ def test_an_observation_with_every_coefficient_dropped_is_zero_at_once(monkeypat
     def no_pivots(*args):
         raise AssertionError("the simplex pivoted on a zero right-hand side")
 
+    real_fit, fits = recovery.lad_fit, []
+
+    def no_steps(B, y):
+        res = real_fit(B, y)
+        assert res.iterations == 0, "the ℓ1 fit stepped on a zero observation"
+        fits.append(res)
+        return res
+
     monkeypatch.setattr(simplex, "_run", no_pivots)
+    monkeypatch.setattr(recovery, "lad_fit", no_steps)
     seconds = []
     for _ in range(2):  # the faster of two calls, so a machine stall cannot fail it
         start = time.perf_counter()
@@ -74,6 +84,7 @@ def test_an_observation_with_every_coefficient_dropped_is_zero_at_once(monkeypat
         seconds.append(time.perf_counter() - start)
         assert np.array_equal(xhat, np.zeros(462))
     assert min(seconds) < 1.0
+    assert len(fits) == 2  # the 86 null directions went through the fit, which did not step
 
 
 def _oracle_null_dims(bank, retained):
@@ -93,7 +104,10 @@ def _oracle_null_dims(bank, retained):
 
 
 def test_null_dimensions_match_the_shift_rank_deficit():
-    checked = deficient = 0
+    # the null basis Z of the ℓ1 fit: φ(q) − rank orthonormal columns per
+    # channel, in the kernel of every retained coefficient row, including
+    # the channels that keep fewer shifts than φ(q) (the full SVD's case)
+    checked = deficient = short = 0
     for N in (6, 12, 18, 30, 42, 60, 70, 90):
         for p in (1, 2):
             if N % p or not uniform_bank(N, p).report.tight:
@@ -102,11 +116,26 @@ def test_null_dimensions_match_the_shift_rank_deficit():
             for fraction, draw in ((0.1, 0), (0.5, 1), (0.8, 2), (0.95, 3)):
                 retained = _drop(bank, fraction, draw)
                 got = _null_dims(bank, retained)
-                assert got == _oracle_null_dims(bank, retained), (N, p, fraction)
+                want = _oracle_null_dims(bank, retained)
+                assert got == want, (N, p, fraction)
                 assert all(0 <= v <= totient(q) for q, v in got.items())
+                shifts = {q: 0 for q in bank.qs}
+                for _, i in retained:
+                    shifts[bank.qs[i]] += 1
+                Z = []
+                for s in _channel_systems(np.zeros(N), retained, bank):
+                    Zq = _null_directions(N, s)
+                    assert Zq.shape == (N, want[s.q]), (N, p, fraction, s.q)
+                    Z.append(Zq)
+                    short += shifts[s.q] < totient(s.q)
+                Z = np.hstack(Z)
+                R = coefficient_rows(bank, retained)
+                orth = np.abs(Z.T @ Z - np.eye(Z.shape[1])).max(initial=0.0)
+                kernel = np.abs(R @ Z).max(initial=0.0) / np.abs(R).max(initial=1.0)
+                assert orth <= 1e-12 and kernel <= 1e-12, (N, p, fraction)
                 checked += 1
                 deficient += any(got.values())
-    assert checked >= 40 and deficient >= 10
+    assert checked >= 40 and deficient >= 10 and short >= 40
 
 
 def _deficient_instances():
@@ -164,16 +193,25 @@ def test_cli_exits_2_on_energy_in_a_killed_channel(tmp_path, capsys):
     assert captured.out == "" and "outside the declared periods" in captured.err
 
 
+# ROADMAP item 2's standing instances, on its signal L_3 of the sparse top
+# channel (optimum 16): the split-variable simplex ran (210, 2) to its cap
+STANDING = ((210, 1, 0.8, 2), (330, 1, 0.8, 4), (462, 1, 0.8, 0))
+
+
 @pytest.mark.parametrize("N,p,fraction,draw", [(30, 1, 0.8, 0), (70, 2, 0.5, 1),
                                                (120, 1, 0.1, 0), (120, 1, 0.8, 0),
-                                               (210, 1, 0.8, 0), (210, 2, 0.1, 2)])
+                                               (210, 1, 0.8, 0), (210, 2, 0.1, 2),
+                                               *STANDING])
 def test_recovery_matches_highs(N, p, fraction, draw):
-    # linear instances (10% dropped) and ones whose ℓ1 program runs on the
-    # determined directions (13 and 23 null dimensions at 80% dropped)
+    # linear instances (10% dropped) and ones whose ℓ1 fit runs on the null
+    # coordinates (13, 23, 34, 53 and 98 of them at 80% dropped)
     optimize = pytest.importorskip("scipy.optimize")
     bank = uniform_bank(N, p)
     retained = _drop(bank, fraction, draw)
-    x = np.roll(sparse_top_channel(N), 1) + 0.5 * periodic_signal(N, (N,), seed=draw)
+    if (N, p, fraction, draw) in STANDING:
+        x = np.roll(sparse_top_channel(N), 3)
+    else:
+        x = np.roll(sparse_top_channel(N), 1) + 0.5 * periodic_signal(N, (N,), seed=draw)
     R = coefficient_rows(bank, retained)
     n = bank.n
     ref = optimize.linprog(np.ones(2 * n), A_eq=np.hstack([R, -R]), b_eq=R @ x,

@@ -1,8 +1,10 @@
-"""Exact-arithmetic checks of the dense simplex core and its ℓ1 front ends."""
+"""Exact-arithmetic checks of the dense simplex core, its ℓ1 front ends and the
+least-absolute-deviations fit."""
 
 import numpy as np
 import pytest
 
+import rframes.recovery as recovery
 import rframes.simplex as simplex
 from conftest import vertex_enumeration_min
 from rframes import (
@@ -10,11 +12,12 @@ from rframes import (
     SolverError,
     all_pairs,
     l1_fit,
+    lad_fit,
     simplex_solve,
     solve_l1_lp,
     uniform_bank,
 )
-from rframes.experiments import sparse_top_channel
+from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows
 from rframes.recovery import coefficient_rows
 
 
@@ -239,3 +242,134 @@ def test_ten_percent_drop_lp_at_150_is_never_called_unbounded():
         assert "unbounded" not in str(exc)
     else:
         assert np.isclose(res.objective, 8.0, rtol=1e-9)
+
+
+def _highs_lad(B, y):
+    """min ‖y − Bz‖₁ by HiGHS: Bz + r⁺ − r⁻ = y, z free, r± ≥ 0."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n, k = B.shape
+    res = optimize.linprog(np.concatenate([np.zeros(k), np.ones(2 * n)]),
+                           A_eq=np.hstack([B, np.eye(n), -np.eye(n)]), b_eq=y,
+                           bounds=[(None, None)] * k + [(0, None)] * (2 * n), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _assert_certified(res, B, y):
+    # the certificate, rebuilt from the returned z and u against B and y
+    r = y - B @ res.x
+    u = res.dual
+    assert np.abs(res.residual - r).max() <= 1e-12 * max(1.0, np.abs(y).max())
+    assert np.isclose(res.objective, np.abs(r).sum(), rtol=1e-12, atol=1e-12)
+    assert np.abs(u).max() <= 1.0 + 1e-9
+    assert np.abs(B.T @ u).max() <= 1e-9 * max(1.0, np.abs(B).sum(axis=0).max())
+    big = np.abs(r) > 1e-9 * max(1.0, np.abs(y).max())
+    assert np.array_equal(u[big], np.sign(r[big]))
+    assert abs(res.objective - y @ u) <= 1e-9 * max(1.0, res.objective)
+
+
+def test_lad_fit_is_the_median():
+    y = np.array([1.0, 2.0, 7.0, -4.0, 2.5])
+    res = lad_fit(np.ones((5, 1)), y)
+    assert np.isclose(res.x[0], np.median(y), atol=1e-12)
+    assert np.isclose(res.objective, l1_fit(np.ones((5, 1)), y).objective, atol=1e-12)
+    _assert_certified(res, np.ones((5, 1)), y)
+
+
+def test_lad_fit_interpolates_when_possible(rng):
+    B = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    z0 = rng.standard_normal(4)
+    res = lad_fit(B, B @ z0)
+    assert res.objective < 1e-12
+    assert np.allclose(res.x, l1_fit(B, B @ z0).x, atol=1e-9)
+    assert np.allclose(res.x, z0, atol=1e-12)
+    # a tall consistent fit too: every residual vanishes
+    B = rng.standard_normal((12, 4))
+    res = lad_fit(B, B @ z0)
+    assert res.objective < 1e-12 and np.allclose(res.x, z0, atol=1e-12)
+
+
+def test_lad_fit_matches_l1_fit_on_seeded_fits(rng):
+    for _ in range(40):
+        n = int(rng.integers(1, 25))
+        k = int(rng.integers(1, min(n, 6) + 1))
+        B = rng.standard_normal((n, k))
+        y = B @ rng.standard_normal(k) + (rng.random(n) < 0.3) * rng.standard_normal(n)
+        res = lad_fit(B, y)
+        assert np.isclose(res.objective, l1_fit(B, y).objective, rtol=1e-9, atol=1e-9)
+        _assert_certified(res, B, y)
+
+
+def test_lad_fit_with_dependent_columns():
+    # column 2 = column 0 + column 1: once two coordinates have entered, the
+    # third one's release moves no residual, so it stays at 0
+    B = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [2.0, -1.0, 1.0],
+                  [1.0, 3.0, 4.0]])
+    y = np.array([1.0, -2.0, 0.5, 3.0, 1.0])
+    res = lad_fit(B, y)
+    assert np.isclose(res.objective, l1_fit(B, y).objective, rtol=1e-12)
+    assert np.sum(np.abs(res.x) < 1e-12) == 1
+    _assert_certified(res, B, y)
+
+
+@pytest.mark.parametrize("n,k", [(30, 3), (70, 14), (210, 34), (462, 98)])
+def test_lad_fit_matches_highs(n, k):
+    rng = np.random.default_rng(n + k)
+    B = rng.standard_normal((n, k))
+    y = B @ rng.standard_normal(k)
+    y[rng.choice(n, n // 5, replace=False)] += 3.0 * rng.standard_normal(n // 5)
+    res = lad_fit(B, y)
+    assert np.isclose(res.objective, _highs_lad(B, y), rtol=1e-9)
+    _assert_certified(res, B, y)
+
+
+def test_lad_fit_right_hand_side_below_the_snap_level_is_zero_at_once():
+    B = np.array([[1.0, 2.0], [0.0, 1.0], [3.0, -1.0]])
+    res = lad_fit(B, np.array([4e-12, -1e-12, 0.0]))
+    assert res.iterations == 0 and res.objective == 0.0
+    assert np.array_equal(res.x, np.zeros(2)) and np.array_equal(res.residual, np.zeros(3))
+
+
+def test_lad_fit_shape_validation():
+    with pytest.raises(PreconditionError):
+        lad_fit(np.ones((3, 1)), np.ones(2))
+
+
+def test_lad_fit_on_the_degenerate_table1_program(monkeypatch):
+    # the fit that plain recovery runs on table-1 row 4 (reproduce tables,
+    # seed 0): 14 null coordinates, and the optimum leaves 28 residuals at zero
+    bank = uniform_bank(70, 2)
+    x = periodic_signal(70, (5, 7), seed=0)
+    missing = {(int(k), int(i)) for k, i in table1_rows()[3]["missing"]}
+    retained = [pr for pr in all_pairs(bank) if pr not in missing]
+    seen, real = [], recovery.lad_fit
+
+    def capture(B, y):
+        seen.append((B, y))
+        return real(B, y)
+
+    monkeypatch.setattr(recovery, "lad_fit", capture)
+    recovery.recover_missing(recovery.truncated_sum(x, retained, bank), retained, bank)
+    (B, y), = seen
+    res = lad_fit(B, y)
+    assert B.shape == (70, 14)
+    assert np.sum(np.abs(res.residual) <= 1e-12 * np.abs(y).max()) == 28
+    assert np.isclose(res.objective, l1_fit(B, y).objective, rtol=1e-12)
+    _assert_certified(res, B, y)
+
+
+def test_lad_fit_escapes_a_cycling_plateau_by_blands_rule():
+    # a seeded integer fit, found by a seed search, on which the largest-|u|
+    # long step alone revisits its degenerate bases until the iteration cap:
+    # y = e₀ + e₁ leaves 12 of the 14 residuals at zero from the start
+    rng = np.random.default_rng(91520)
+    n, k = int(rng.integers(13, 60)), int(rng.integers(2, 12))
+    B = rng.integers(-3, 4, size=(n, k)).astype(float)
+    y = np.zeros(n)
+    y[:2] = 1.0
+    res = lad_fit(B, y)
+    assert (n, k) == (14, 7)
+    assert np.isclose(res.objective, 2.0, rtol=1e-12)
+    assert np.isclose(res.objective, l1_fit(B, y).objective, rtol=1e-12)
+    assert res.iterations > 2 * n + 50  # the plateau outlasted the stall count
+    _assert_certified(res, B, y)
