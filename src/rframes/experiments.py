@@ -146,12 +146,11 @@ def recovery_instances(count: int, seed: int) -> list[RecoveryInstance]:
     for t in range(count):
         N, p = _RECOVERY_MENU[t % len(_RECOVERY_MENU)]
         bank = uniform_bank(N, p)
-        d = N // p
         shift = int(rng.integers(N))
         scale = float(rng.choice([-1.0, 1.0]) * (0.5 + abs(rng.standard_normal())))
         x = scale * np.roll(sparse_top_channel(N), shift)
         support = _coefficient_support(x, bank)
-        bound = p * (d / totient(N)) ** 2
+        bound = bank.tight_bound() / totient(N) ** 2  # A/β_o², β_o = φ(N)
         room = int(np.floor((bound - 1e-9) / (2 * len(support))))
         if room < 1:
             raise InternalError(f"menu entry (N={N}, p={p}) leaves no missing-budget")
@@ -194,12 +193,11 @@ def denoise_instances(count: int, seed: int) -> list[DenoiseInstance]:
     for t in range(count):
         N, p = _DENOISE_MENU[t % len(_DENOISE_MENU)]
         bank = uniform_bank(N, p)
-        d = N // p
         shift = int(rng.integers(N))
         scale = float(rng.choice([-1.0, 1.0]) * (0.5 + abs(rng.standard_normal())))
         x = scale * np.roll(sparse_top_channel(N), shift)
         membership = tuple(_coefficient_support(x, bank))
-        bound = p * (d / totient(N)) ** 2
+        bound = bank.tight_bound() / totient(N) ** 2  # A/β_o², β_o = φ(N)
         condition = 2.0 * len(membership) * 1
         if condition >= bound:
             raise InternalError(f"menu entry (N={N}, p={p}) violates the bound")
@@ -385,8 +383,7 @@ def run_tables(seed: int = 0) -> dict:
         })
 
     bank30 = uniform_bank(30, 1)
-    d30 = 30
-    bound30 = (d30 / totient(30)) ** 2
+    bound30 = bank30.tight_bound() / totient(30) ** 2
     table2 = []
     for j, spec_row in enumerate(table2_rows()):
         x = periodic_signal(30, spec_row["components"], seed=seed + 1000 + j)

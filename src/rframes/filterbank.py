@@ -5,9 +5,9 @@ Ramanujan sum and keeps every p_i-th output.  Uniform banks (all p_i equal)
 are the ones with polyphase/frame diagnostics; non-uniform banks arise from
 the rank-repair construction in :mod:`rframes.subspaces`.
 
-A bank owns its linear operator: the filter matrix, the frame report and
-the tight bound are derived once per bank object, and
-:func:`coefficient_rows` is the one builder of shifted filters.
+A bank owns its linear operator: the filter matrix and the exact frame
+bounds, counted over the bin owners q(f) = N/gcd(f, N), are derived once per
+bank object, and :func:`coefficient_rows` is the one builder of shifted filters.
 """
 
 from __future__ import annotations
@@ -87,33 +87,56 @@ class RamanujanFilterBank:
     def qs(self) -> tuple[int, ...]:
         return tuple(ch.q for ch in self.channels)
 
-    def filters(self) -> list[np.ndarray]:
-        """The channel filters c_{q_i} as length-N integer vectors."""
-        return [ramanujan_sum(ch.q, self.n) for ch in self.channels]
-
     @cached_property
     def filter_matrix(self) -> np.ndarray:
         """K×N float matrix with row i = c_{q_i}, built once per bank."""
-        return np.array(self.filters(), dtype=float)
+        return np.array([ramanujan_sum(ch.q, self.n) for ch in self.channels], dtype=float)
 
     @cached_property
-    def report(self):
-        """The bank's :class:`~rframes.frames.FrameReport`, computed once per bank."""
-        from .frames import frame_report  # local import to avoid a cycle
+    def frame_bounds(self) -> tuple[int, int] | None:
+        """Exact frame bounds (A, B), or None when the bank is not a frame.
 
-        return frame_report(self)
+        Bin f lies in V_q, q = N/gcd(f, N).  Channel (q, p) spans V_q iff q's
+        bins have distinct residues mod N/p, and then adds (N²/p)·P_{V_q} to
+        the frame operator.  So the bank is a frame iff every divisor of N is
+        spanned, and A, B are the extreme N²·m_q/p over the divisors, m_q the
+        number of channels at q (notes/decisions.md, entry 6).
+
+        Raises
+        ------
+        PreconditionError
+            If a divisor's channels have mixed ratios, where the rule is not exact.
+        """
+        N = self.n
+        qs, ps = np.array(self.qs), np.array([ch.p for ch in self.channels])
+        ratio = np.zeros(N + 1, dtype=np.int64)  # p_q by q; 0 where q has no channel
+        ratio[qs] = ps
+        if (ratio[qs] != ps).any():
+            raise PreconditionError("channels of one divisor have mixed ratios")
+        f = np.arange(N)
+        owner = _bin_channel(f, N)
+        p = ratio[owner]
+        if not p.all():
+            return None  # a divisor of N has no channel
+        # np.sort, not np.unique, which imports numpy.ma (1 MB) on first use
+        if not np.diff(np.sort(owner * N + f % (N // p))).all():
+            return None  # two of a channel's bins share a residue: it misses part of V_q
+        weights = N * N * np.bincount(qs)[qs] // ps  # N²·m_q/p at each channel's q
+        return int(weights.min()), int(weights.max())
 
     def tight_bound(self) -> float:
-        """The tight frame bound A of the bank's report.
+        """The tight frame bound A = N²·m/p of a uniform bank, exact.
 
         Raises
         ------
         PreconditionError
             If the bank is not uniform and tight.
         """
-        if not self.report.tight:
-            raise PreconditionError(f"bank (N={self.n}, p={self.ratio}) is not tight")
-        return self.report.A
+        p = self.ratio
+        bounds = self.frame_bounds
+        if bounds is None or bounds[0] != bounds[1]:
+            raise PreconditionError(f"bank (N={self.n}, p={p}) is not tight")
+        return float(bounds[0])
 
     def shifts(self, i: int) -> np.ndarray:
         """All kept shifts of channel i as columns: N × (N/p_i) matrix of L_{p_i k} c_{q_i}."""
@@ -219,7 +242,7 @@ def analyze(x, bank: RamanujanFilterBank) -> list[np.ndarray]:
     return [full[i, :: ch.p].copy() for i, ch in enumerate(bank.channels)]
 
 
-def synthesize(coeffs, bank: RamanujanFilterBank, A: float | None = None) -> np.ndarray:
+def synthesize(coeffs, bank: RamanujanFilterBank) -> np.ndarray:
     """Reconstruct x = (1/A) Σ_i Σ_k y_i(k) L_{p_i k} c_{q_i} from analysis coefficients.
 
     Valid only for tight banks (synthesis filters equal analysis filters up to
@@ -233,20 +256,13 @@ def synthesize(coeffs, bank: RamanujanFilterBank, A: float | None = None) -> np.
         Per-channel coefficients, as produced by :func:`analyze`.
     bank : RamanujanFilterBank
         Must be uniform and tight.
-    A : float, optional
-        The tight frame bound.  Computed (and certified) from the bank when
-        omitted; when given it must match.
 
     Raises
     ------
     PreconditionError
-        If the bank is not uniform+tight, or A disagrees with the certified bound.
+        If the bank is not uniform+tight, or coeffs do not match its shape.
     """
-    bound = bank.tight_bound()
-    if A is None:
-        A = bound
-    elif not math.isclose(A, bound, rel_tol=1e-9):
-        raise PreconditionError(f"supplied A={A} does not match tight bound {bound}")
+    A = bank.tight_bound()
     if len(coeffs) != len(bank.channels):
         raise PreconditionError(
             f"expected {len(bank.channels)} coefficient arrays, got {len(coeffs)}"

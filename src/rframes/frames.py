@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InternalError, PreconditionError
-from .filterbank import RamanujanFilterBank, uniform_bank
+from .filterbank import RamanujanFilterBank
 from .numtheory import _bin_channel, divisors
 
 __all__ = [

@@ -68,9 +68,8 @@ class UncertaintyReport:
 
     s_x counts nonzero analysis coefficients across all channels and shifts,
     b_x counts nonzero samples of x; both at relative tolerance tol.  The
-    bounds are  s_x + b_x ≥ 2d√p/φ(N)  and  s_x·b_x ≥ p(d/φ(N))², with
-    β_o = φ(N) the largest filter magnitude that drives both.  In frame terms
-    they are 2√A/β_o and A/β_o² with the tight-frame bound A = pd².
+    bounds are  s_x + b_x ≥ 2√A/β_o  and  s_x·b_x ≥ A/β_o², with A = pd² the
+    tight bound and β_o = φ(N) the largest filter magnitude.
     """
 
     n: int
@@ -90,7 +89,7 @@ def uncertainty_report(
 ) -> UncertaintyReport:
     """Count coefficient/sample supports of x and check the uncertainty bounds."""
     x = np.asarray(x, dtype=float)
-    bank.tight_bound()
+    A = bank.tight_bound()
     if not np.any(x):
         raise PreconditionError("uncertainty counts need a nonzero signal")
     coeffs = np.concatenate(analyze(x, bank))
@@ -98,13 +97,11 @@ def uncertainty_report(
     s_x = int(np.sum(np.abs(coeffs) > tol * cmax)) if cmax > 0 else 0
     xmax = float(np.abs(x).max())
     b_x = int(np.sum(np.abs(x) > tol * xmax))
-    p = bank.ratio
-    d = bank.n // p
     phi = totient(bank.n)
-    sum_bound = 2.0 * d * math.sqrt(p) / phi
-    prod_bound = p * (d / phi) ** 2
+    sum_bound = 2.0 * math.sqrt(A) / phi
+    prod_bound = A / phi**2
     return UncertaintyReport(
-        n=bank.n, p=p, tol=tol, s_x=s_x, b_x=b_x,
+        n=bank.n, p=bank.ratio, tol=tol, s_x=s_x, b_x=b_x,
         sum_bound=sum_bound, prod_bound=prod_bound, beta_o=phi,
         sum_ok=(s_x + b_x) >= sum_bound - 1e-12,
         prod_ok=(s_x * b_x) >= prod_bound - 1e-12,

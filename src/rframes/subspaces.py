@@ -254,20 +254,12 @@ def build_nonuniform(p: int, r: int, N: int) -> NonUniformBankSpec:
     if r == 2:
         _check_stride(2, N)  # stride-2 spans need N = 2·odd
     dset = aliasing_divisors(p, N)  # validates p prime, p | N
-    prof = divisors(N)
-    ratios = tuple(r if q in dset else p for q in prof.divisors)
-    bank = RamanujanFilterBank(
-        N, tuple(Channel(q, pq) for q, pq in zip(prof.divisors, ratios))
-    )
-    # the bins q owns have distinct residues mod N/p_q iff the channel spans
-    # V_q, and then its frame operator is (N²/p_q)·I on V_q
-    lost = [q for q, pq in zip(prof.divisors, ratios) if _shift_rank(pq, q, N) != totient(q)]
-    if lost:
-        raise InternalError(
-            f"non-uniform bank (p={p}, r={r}, N={N}) failed its frame check: "
-            f"channels {lost} do not span their subspaces"
-        )
-    A, B = N * N / max(ratios), N * N / min(ratios)
+    qs = divisors(N).divisors
+    ratios = tuple(r if q in dset else p for q in qs)
+    bank = RamanujanFilterBank(N, tuple(map(Channel, qs, ratios)))
+    if bank.frame_bounds is None:
+        raise InternalError(f"non-uniform bank (p={p}, r={r}, N={N}) is not a frame")
+    A, B = map(float, bank.frame_bounds)
     return NonUniformBankSpec(
         p=p, r=r, n=N, dset=dset, ratios=ratios, bank=bank, A=A, B=B, is_frame=True
     )
@@ -291,7 +283,7 @@ def filterbank_erasure_margin(bank: RamanujanFilterBank, j: int, m: int) -> floa
 
 
 def channel_erasure_margins(bank: RamanujanFilterBank, j: int) -> np.ndarray:
-    """Margins of channel j at every m ∈ Z_d: 1 − (p·d²/A)·#{j′ < p : q_j owns bin −m + j′d}.
+    """Margins of channel j at every m ∈ Z_d: 1 − (N·d/A)·#{j′ < p : q_j owns bin −m + j′d}.
 
     Row m of the Zak image of c_q sees the DFT of c_q on those p bins, N on
     the bins q owns and 0 elsewhere, so Σ_n |Zc_q(m, n)|² = N·(the count).
@@ -302,7 +294,7 @@ def channel_erasure_margins(bank: RamanujanFilterBank, j: int) -> np.ndarray:
     p = bank.ratio
     d = bank.n // p
     hits = (_bin_owners(bank.n, p) == bank.qs[j]).sum(axis=1)
-    return 1.0 - (p * d * d / A) * hits
+    return 1.0 - (bank.n * d / A) * hits
 
 
 def _survivor_bounds(bank: RamanujanFilterBank, erased) -> tuple[np.ndarray, np.ndarray]:
@@ -400,8 +392,8 @@ class FusionErasureReport:
     """Fusion bounds after deleting a few vectors inside each channel.
 
     a_f and b_f are the survivors' global frame bounds divided by the tight
-    constant pd² (so the untouched bank reports exactly 1, 1); the guaranteed
-    floor is min_i A_{p,i} / (pd²) with A_{p,i} the surviving collection's
+    constant A = pd² (so the untouched bank reports exactly 1, 1); the guaranteed
+    floor is min_i A_{p,i} / A with A_{p,i} the surviving collection's
     lower bound on its own subspace.  The channel subspaces are orthogonal,
     so a_f equals that floor and bound_ok always holds.
     """
@@ -429,7 +421,6 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
     """
     bank = uniform_bank(N, p)
     K = len(bank.channels)
-    d = N // p
     if len(erased_sets) != K:
         raise PreconditionError(
             f"need one erased set per channel ({K}), got {len(erased_sets)}"
@@ -440,8 +431,7 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
     if lmax > 2:
         raise PreconditionError("at most two erasures per channel are supported")
     if lmax == 2:
-        budget = (N - 1) if p == 1 else (d - 1)
-        need = 2 * totient(N)
+        budget, need = N // p - 1, 2 * totient(N)  # d − 1, which is N − 1 for p = 1
         if budget < need:
             raise PreconditionError(
                 f"two-per-channel erasures need {'N' if p == 1 else 'd'}−1 ≥ 2φ(N); "
@@ -450,11 +440,9 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
         borderline = budget == need
 
     lo, hi = _survivor_bounds(bank, [(k, i) for i, s in enumerate(sets) for k in s])
-    scale = p * d * d
-    a_f = float(lo.min()) / scale
-    b_f = float(hi.max()) / scale
+    A = bank.tight_bound()
     return FusionErasureReport(
-        p=p, n=N, a_f=a_f, b_f=b_f,
+        p=p, n=N, a_f=float(lo.min()) / A, b_f=float(hi.max()) / A,
         frame_flag=bool(lo.min() > 1e-8 * hi.max()),
         per_channel_lower=tuple(lo.tolist()),
         bound_ok=True,

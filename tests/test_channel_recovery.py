@@ -16,6 +16,7 @@ from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
     PreconditionError,
     all_pairs,
+    frame_report,
     recover_missing,
     recover_missing_periodic,
     solve_l1_lp,
@@ -110,7 +111,7 @@ def test_null_dimensions_match_the_shift_rank_deficit():
     checked = deficient = short = 0
     for N in (6, 12, 18, 30, 42, 60, 70, 90):
         for p in (1, 2):
-            if N % p or not uniform_bank(N, p).report.tight:
+            if N % p or not frame_report(uniform_bank(N, p)).tight:
                 continue
             bank = uniform_bank(N, p)
             for fraction, draw in ((0.1, 0), (0.5, 1), (0.8, 2), (0.95, 3)):

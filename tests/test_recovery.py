@@ -18,6 +18,7 @@ from rframes import (
     denoise,
     detect_support_set,
     divisors,
+    frame_report,
     membership_null_basis,
     ramanujan_sum,
     recover_missing,
@@ -139,7 +140,7 @@ def test_truncated_sum_matches_the_coefficient_rows():
     checked = 0
     for N in (6, 12, 30, 42, 60, 70, 105, 126, 210):
         for p in (1, 2):
-            if N % p or not uniform_bank(N, p).report.tight:
+            if N % p or not frame_report(uniform_bank(N, p)).tight:
                 continue
             bank = uniform_bank(N, p)
             pairs = all_pairs(bank)

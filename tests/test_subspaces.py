@@ -167,13 +167,13 @@ def test_channel_margins_from_one_report(N, p, monkeypatch):
     monkeypatch.setattr(frames, "frame_report", lambda b: reports.append(b) or real_report(b))
     for j, q in enumerate(bank.qs):
         margins = channel_erasure_margins(bank, j)
-        assert len(reports) == 1  # one report for the bank, not one per channel
+        assert not reports  # the bound is the bank's exact rule, read without a report
         # Σ_n |Σ_ℓ c(pℓ + n) e^{−2πimℓ/d}|² / d over the tight bound p·d²
         energy = np.sum(np.abs(E @ trig_ramanujan(q, N).reshape(d, p)) ** 2, axis=1) / d
         assert np.abs(margins - (1 - energy / (p * d))).max() <= 1e-12
     dc = channel_erasure_margins(bank, 0)  # q = 1
     assert [filterbank_erasure_margin(bank, 0, m) for m in range(d)] == dc.tolist()
-    assert abs(dc[0]) <= 1e-12
+    assert dc[0] == 0.0  # exact, with A = p·d² exact
 
 
 def test_margin_preconditions():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rframes import (
+    Channel,
     PreconditionError,
+    RamanujanFilterBank,
     classify_theorem_case,
     divisors,
     frame_operator,
@@ -151,6 +153,54 @@ def test_classifier_agrees_with_measured_reports():
             assert case.case == rep.classification, (N, p)
             if case.case == "tight":
                 assert np.isclose(case.bound, rep.A, rtol=1e-9)
+
+
+def _rule_banks():
+    """Every N ≤ 60 and p | N: the divisor bank, it doubled, and four seeded multisets."""
+    for N in range(1, 61):
+        qs = divisors(N).divisors
+        for p in qs:
+            rng = np.random.default_rng(100 * N + p)
+            draws = [sorted(rng.choice(qs, size=rng.integers(1, 2 * len(qs) + 1)))
+                     for _ in range(4)]
+            for multiset in [qs, qs + qs, *draws]:
+                yield RamanujanFilterBank(N, tuple(Channel(int(q), p) for q in multiset))
+
+
+def test_frame_bounds_rule_matches_polyphase_reports():
+    banks = frames_seen = tight_seen = 0
+    for bank in _rule_banks():
+        rep = frame_report(bank)
+        bounds = bank.frame_bounds
+        assert (bounds is not None) == rep.is_frame, (bank.n, bank.ratio, bank.qs)
+        banks += 1
+        if bounds is None:
+            continue
+        A, B = bounds
+        assert (A == B) == rep.tight, (bank.n, bank.ratio, bank.qs)
+        assert abs(A - rep.A) <= 1e-9 * B and abs(B - rep.B) <= 1e-9 * B, (bank.n, bank.qs)
+        frames_seen += 1
+        tight_seen += A == B
+    assert banks == 1566
+    assert frames_seen >= 200 and frames_seen - tight_seen >= 50  # both cases exercised
+    with pytest.raises(PreconditionError):
+        RamanujanFilterBank(6, (Channel(1, 1), Channel(1, 2))).frame_bounds  # mixed at q = 1
+
+
+def test_tight_bound_is_exact():
+    checked = 0
+    for N in range(1, 421):
+        for p in (1, 2):
+            if N % p:
+                continue
+            bank = uniform_bank(N, p)
+            if classify_theorem_case(N, p).case == "tight":
+                assert bank.tight_bound() == N * N / p, (N, p)
+                checked += 1
+            else:
+                with pytest.raises(PreconditionError):
+                    bank.tight_bound()
+    assert checked == 420 + 105
 
 
 def test_classifier_preconditions():
