@@ -25,7 +25,7 @@ from .filterbank import (
     _period_scan,
     uniform_bank,
 )
-from .frames import classify_theorem_case, frame_report
+from .frames import frame_report
 from .io import (
     frame_report_dict,
     json_dumps,
@@ -108,10 +108,9 @@ def cmd_rsum(args) -> int:
 
 def cmd_frame_check(args) -> int:
     bank = _bank_from(args)
-    report = frame_report(bank, cross_validate=True)
+    report = frame_report(bank)
     body = frame_report_dict(report)
-    case = classify_theorem_case(bank.n, bank.ratio)
-    print(f"N={bank.n} p={bank.ratio}: {case.case} (A={report.A:.6g}, "
+    print(f"N={bank.n} p={bank.ratio}: {report.classification} (A={report.A:.6g}, "
           f"B={report.B:.6g})")
     request = {"command": "frame-check", "n": bank.n,
                "channels": [{"q": ch.q, "p": ch.p} for ch in bank.channels]}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -89,8 +89,10 @@ class RamanujanFilterBank:
 
     @cached_property
     def filter_matrix(self) -> np.ndarray:
-        """K×N float matrix with row i = c_{q_i}, built once per bank."""
-        return np.array([ramanujan_sum(ch.q, self.n) for ch in self.channels], dtype=float)
+        """K×N float matrix with row i = c_{q_i}, built once per bank; read-only."""
+        C = np.array([ramanujan_sum(ch.q, self.n) for ch in self.channels], dtype=float)
+        C.flags.writeable = False  # banks are shared: see uniform_bank
+        return C
 
     @cached_property
     def frame_bounds(self) -> tuple[int, int] | None:
@@ -144,8 +146,13 @@ class RamanujanFilterBank:
         return coefficient_rows(self, [(k, i) for k in range(d)]).T
 
 
+@lru_cache(maxsize=32, typed=True)
 def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
-    """The full divisor bank over Z_N with one common decimation ratio p."""
+    """The full divisor bank over Z_N with one common decimation ratio p.
+
+    One bank per (N, p), so its filter matrix and frame bounds are derived
+    once for every caller; the 32 most recent are kept.
+    """
     if N < 1:
         raise PreconditionError(f"need N >= 1, got {N}")
     if p < 1 or N % p:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,8 @@ class FrameReport:
 
     A (resp. B) is the minimum (maximum) over m of the smallest (largest)
     eigenvalue of U*(m)U(m); the bank is a frame iff every U(m) has rank p,
-    and tight iff additionally A = B (relative 1e−9).
+    and tight iff additionally A = B (relative 1e−9).  Every report agrees
+    with the bank's exact rule, :attr:`RamanujanFilterBank.frame_bounds`.
     """
 
     n: int
@@ -120,7 +121,6 @@ class FrameReport:
     is_frame: bool
     ranks: tuple[int, ...]
     per_m_eigs: tuple[tuple[float, ...], ...]
-    cross_validated: bool | None = None
 
     @property
     def classification(self) -> str:
@@ -138,24 +138,19 @@ def frame_operator(bank: RamanujanFilterBank) -> np.ndarray:
     return S
 
 
-def frame_report(bank: RamanujanFilterBank, cross_validate: bool = False) -> FrameReport:
+def frame_report(bank: RamanujanFilterBank) -> FrameReport:
     """Compute frame bounds/ranks of a uniform bank from its polyphase matrices.
 
-    Parameters
-    ----------
-    bank : RamanujanFilterBank
-        Uniform (common decimation ratio).
-    cross_validate : bool
-        Additionally build the N×N frame operator directly from the shifted
-        filters and check its spectrum lies in [A, B] (and equals A·I for
-        tight banks).  O(N³); meant for tests and audits.
+    The result is audited against the bank's exact rule
+    (:attr:`RamanujanFilterBank.frame_bounds`): is_frame, tight, and A and B
+    to 1e−9·B.
 
     Raises
     ------
     PreconditionError
         Non-uniform bank.
     InternalError
-        Cross-validation mismatch (should never happen).
+        The report disagrees with the exact rule (should never happen).
     """
     stack = _polyphase_stack(bank)
     d, _, p = stack.shape
@@ -169,31 +164,22 @@ def frame_report(bank: RamanujanFilterBank, cross_validate: bool = False) -> Fra
     A = float(eigs[:, 0].min())
     B = float(eigs[:, -1].max())
     tight = bool(is_frame and B > 0 and (B - A) <= 1e-9 * B)
-    report = FrameReport(
+    rule = bank.frame_bounds
+    if rule is None:
+        agree = not is_frame
+    else:
+        lo, hi = rule
+        agree = (is_frame and tight == (lo == hi)
+                 and abs(A - lo) <= 1e-9 * hi and abs(B - hi) <= 1e-9 * hi)
+    if not agree:
+        raise InternalError(
+            f"polyphase bounds ({A:.6g}, {B:.6g}, frame={is_frame}, tight={tight}) "
+            f"disagree with the exact rule {rule}"
+        )
+    return FrameReport(
         n=bank.n, p=p, A=A, B=B, tight=tight, is_frame=is_frame,
         ranks=ranks, per_m_eigs=tuple(map(tuple, eigs.tolist())),
     )
-    if cross_validate:
-        _cross_validate(bank, report)
-        report = replace(report, cross_validated=True)
-    return report
-
-
-def _cross_validate(bank: RamanujanFilterBank, report: FrameReport) -> None:
-    S = frame_operator(bank)
-    eigs = np.linalg.eigvalsh(S)
-    tol = 1e-8 * max(1.0, report.B)
-    if eigs.min() < report.A - tol or eigs.max() > report.B + tol:
-        raise InternalError(
-            f"frame-operator spectrum [{eigs.min():.6g}, {eigs.max():.6g}] "
-            f"escapes polyphase bounds [{report.A:.6g}, {report.B:.6g}]"
-        )
-    if report.tight:
-        dev = np.abs(S - report.A * np.eye(bank.n)).max()
-        if dev > 1e-8 * report.A:
-            raise InternalError(
-                f"tight bank but ‖S − A·I‖_max = {dev:.3g} exceeds 1e-8·A"
-            )
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,9 @@ def _shift_rank(p: int, q: int, N: int) -> int:
     φ(q) of them (a Vandermonde system), have rank #{f mod d}.
     """
     f = np.arange(N)
-    return np.unique(f[_bin_channel(f, N) == q] % (N // p)).size
+    # np.sort, not np.unique, which imports numpy.ma (1 MB) on first use
+    residues = np.sort(f[_bin_channel(f, N) == q] % (N // p))
+    return residues.size and 1 + int(np.count_nonzero(np.diff(residues)))
 
 
 def orthonormalize(cols: np.ndarray) -> np.ndarray:

@@ -3,11 +3,19 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from rframes import Channel, PreconditionError, RamanujanFilterBank, frame_report, uniform_bank
+from rframes import (
+    Channel,
+    PreconditionError,
+    RamanujanFilterBank,
+    frame_report,
+    frames,
+    uniform_bank,
+)
 from rframes.cli import main
 from rframes.io import (
     frame_report_dict,
@@ -156,6 +164,38 @@ def test_cli_frame_check_from_bank_file(tmp_path, capsys):
     assert main(["frame-check", "--bank", bankfile]) == 0
     assert "not_frame" in capsys.readouterr().out
     assert main(["frame-check"]) == 2  # neither --bank nor --n/--p
+
+
+def test_cli_frame_check_classifies_the_given_bank(tmp_path, capsys):
+    # channels {1, 3, 6} of Z_6 miss V_2: not a frame, whatever the full divisor bank is
+    bankfile = str(tmp_path / "bank.json")
+    write_bank(bankfile, RamanujanFilterBank(6, tuple(Channel(q, 1) for q in (1, 3, 6))))
+    out = tmp_path / "fc"
+    assert main(["frame-check", "--bank", bankfile, "--out", str(out)]) == 0
+    assert "N=6 p=1: not_frame" in capsys.readouterr().out
+    resp = json.loads((out / "response.json").read_text())
+    assert not resp["tight"] and not resp["is_frame"]
+    # K = 3 channels < p = 4: a valid bank that is not a frame, not a precondition error
+    assert main(["frame-check", "--n", "4", "--p", "4"]) == 0
+    assert "N=4 p=4: not_frame" in capsys.readouterr().out
+
+
+def test_cli_frame_check_never_builds_the_frame_operator(tmp_path, capsys, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("frame-check built the N×N frame operator")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rframes" and hasattr(module, "frame_operator"):
+            monkeypatch.setattr(module, "frame_operator", dense)
+    assert frames.frame_operator is dense
+    bankfile = str(tmp_path / "bank.json")
+    write_bank(bankfile, RamanujanFilterBank(30, tuple(Channel(q, 2) for q in (1, 2, 3, 5))))
+    for argv in (["--n", "210", "--p", "1"], ["--n", "30", "--p", "2"], ["--n", "12", "--p", "2"],
+                 ["--bank", bankfile]):
+        assert main(["frame-check", *argv, "--out", str(tmp_path / "fc")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].split()[0] for line in out] == ["tight", "tight", "not_frame",
+                                                               "not_frame"]
 
 
 def test_cli_period_id(tmp_path, capsys):

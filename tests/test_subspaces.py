@@ -1,8 +1,13 @@
 """Shift-invariant subspaces, non-uniform banks, erasures, fusion frames."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import rframes.filterbank as filterbank
 import rframes.frames as frames
 import rframes.subspaces as subspaces
 from conftest import dft_subspace_projector, trig_ramanujan
@@ -174,6 +179,38 @@ def test_channel_margins_from_one_report(N, p, monkeypatch):
     dc = channel_erasure_margins(bank, 0)  # q = 1
     assert [filterbank_erasure_margin(bank, 0, m) for m in range(d)] == dc.tolist()
     assert dc[0] == 0.0  # exact, with A = p·d² exact
+
+
+def test_certificates_share_one_bank_per_configuration(monkeypatch):
+    calls = []
+    real = filterbank.ramanujan_sum
+    monkeypatch.setattr(filterbank, "ramanujan_sum", lambda q, n: calls.append(q) or real(q, n))
+    filterbank.uniform_bank.cache_clear()
+    N, p = 66, 2  # d = 33 odd: tight
+    K = len(divisors(N).divisors)
+    assert robust_to_erasures(p, N, [(0, 1), (4, 3)])
+    rep = fusion_after_local_erasures(p, N, [[k] for k in range(K)])
+    assert rep.frame_flag
+    assert len(calls) == K  # one filter matrix for both calls
+    bank = uniform_bank(N, p)
+    assert uniform_bank(N, p) is bank
+    with pytest.raises(ValueError):
+        bank.filter_matrix[0, 0] = 1.0  # shared, so read-only
+
+
+def test_shift_rank_leaves_numpy_ma_unimported():
+    code = (
+        "import sys\n"
+        "from rframes import fusion_frame_check, rank_Q\n"
+        "assert rank_Q(3, 6, 12) == 1\n"
+        "fusion_frame_check(1, 30)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 def test_margin_preconditions():

@@ -5,6 +5,7 @@ import pytest
 
 from rframes import (
     Channel,
+    InternalError,
     PreconditionError,
     RamanujanFilterBank,
     classify_theorem_case,
@@ -108,21 +109,34 @@ def test_trace_identity():
         assert np.isclose(tot, d * N * N, rtol=1e-9)
 
 
+def _assert_dense_spectrum_matches(bank, rep):
+    """The N×N frame operator's spectrum lies in [A, B], and S = A·I when tight."""
+    S = frame_operator(bank)
+    eigs = np.linalg.eigvalsh(S)
+    tol = 1e-8 * max(1.0, rep.B)
+    assert rep.A - tol <= eigs.min() and eigs.max() <= rep.B + tol
+    if rep.tight:
+        assert np.abs(S - rep.A * np.eye(bank.n)).max() <= 1e-8 * rep.A
+
+
 def test_tight_for_unit_ratio():
     for N in (2, 6, 8, 12, 17, 24):
-        rep = frame_report(uniform_bank(N, 1), cross_validate=True)
+        bank = uniform_bank(N, 1)
+        rep = frame_report(bank)
         assert rep.tight and rep.is_frame
         assert np.isclose(rep.A, N * N, rtol=1e-9)
         assert np.isclose(rep.B, N * N, rtol=1e-9)
-        assert rep.cross_validated
+        _assert_dense_spectrum_matches(bank, rep)
 
 
 def test_tight_for_ratio_two_odd_half():
     for N in (6, 10, 18, 30, 38):
         d = N // 2
-        rep = frame_report(uniform_bank(N, 2), cross_validate=True)
+        bank = uniform_bank(N, 2)
+        rep = frame_report(bank)
         assert rep.tight
         assert np.isclose(rep.A, 2 * d * d, rtol=1e-9)
+        _assert_dense_spectrum_matches(bank, rep)
 
 
 def test_not_frame_for_ratio_two_even_half():
@@ -185,6 +199,26 @@ def test_frame_bounds_rule_matches_polyphase_reports():
     assert frames_seen >= 200 and frames_seen - tight_seen >= 50  # both cases exercised
     with pytest.raises(PreconditionError):
         RamanujanFilterBank(6, (Channel(1, 1), Channel(1, 2))).frame_bounds  # mixed at q = 1
+
+
+def test_frame_report_audits_itself_against_the_rule():
+    # a fresh bank object each time: uniform_bank's banks are shared
+    def bank_with(N, p, bounds):
+        bank = RamanujanFilterBank(N, tuple(Channel(q, p) for q in divisors(N).divisors))
+        bank.__dict__["frame_bounds"] = bounds  # overrides the cached property
+        return bank
+
+    assert frame_report(bank_with(30, 1, (900, 900))).tight
+    assert not frame_report(bank_with(12, 2, None)).is_frame
+    for N, p, wrong in (
+        (30, 1, (900, 901)),  # B off by more than 1e-9·B, and not tight
+        (30, 1, (899, 899)),  # A and B both off
+        (30, 1, (450, 900)),  # a frame, but not tight
+        (30, 1, None),  # not a frame
+        (12, 2, (72, 72)),  # a frame, where the polyphase ranks say not
+    ):
+        with pytest.raises(InternalError):
+            frame_report(bank_with(N, p, wrong))
 
 
 def test_tight_bound_is_exact():
