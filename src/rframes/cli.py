@@ -257,6 +257,7 @@ def cmd_reproduce(args) -> int:
                 "condition": [r["condition"] for r in t2],
                 "snr_in_db": [r["snr_in_db"] for r in t2],
                 "gain_db": [r["gain_db"] for r in t2],
+                "unique": [r["unique"] for r in t2],
             })
     else:
         print(json_dumps(body))

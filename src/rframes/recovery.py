@@ -13,10 +13,12 @@ The recovery problems are linear programs over the coefficient constraints:
 * ``denoise``            — min ‖y − x′‖₁ with x′ ranging over the subspace of
   signals whose coefficients vanish off a detected support set.
 
-The first two split by channel: the shifts of c_q span V_q, and the V_q are
+All three split by channel: the shifts of c_q span V_q, and the V_q are
 orthogonal.  A channel whose retained shifts still span V_q is recovered by
 a φ(q)-dimensional linear solve; an ℓ1 fit over the null coordinates runs
-only when some channel's retained shifts fall short.
+only when some channel's retained shifts fall short.  Denoising fits y over
+the null directions of the complement's channels, which span the membership
+subspace.  Every ℓ1 fit is :func:`~rframes.simplex.lad_fit`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .filterbank import (
     synthesize,
 )
 from .numtheory import _bin_channel, divisors, totient
-from .simplex import l1_fit, lad_fit
+from .simplex import lad_fit
 
 __all__ = [
     "UncertaintyReport",
@@ -161,7 +163,7 @@ class _ChannelSystem:
 
 
 def _channel_systems(observed, pairs, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
-    """One :class:`_ChannelSystem` per distinct channel q of a tight uniform bank.
+    """One :class:`_ChannelSystem` per divisor q of N, for a uniform bank.
 
     The rows L_{pk}c_q lie in V_q and the V_q are orthogonal, so the
     coefficient constraints split by channel.  In U's coordinates
@@ -181,7 +183,7 @@ def _channel_systems(observed, pairs, bank: RamanujanFilterBank) -> list[_Channe
     k, i = np.array(_checked_pairs(bank, pairs), dtype=int).reshape(-1, 2).T
     q_of = np.array(bank.qs)[i]
     systems = []
-    for q in sorted(set(bank.qs)):
+    for q in divisors(N).divisors:
         g = half[owner == q]
         bins = np.concatenate([g, g[(g != 0) & (2 * g != N)]])
         sine = np.arange(bins.size) >= g.size
@@ -294,29 +296,47 @@ def recover_missing_periodic(
 def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     """Orthonormal basis (columns) of {v : ⟨v, f_j⟩ = 0 for every pair j ∉ pairs}.
 
-    Computed as the numerical null space (SVD, cutoff 1e−10·σ_max) of the
-    complement's coefficient rows R: the rows of V beyond rank(R).  U is never
-    needed, so a tall R (at least N rows) takes the thin SVD, whose V is
-    already N×N; a wide R takes the full SVD, because its thin V stops at
-    len(R) rows and would lose the null directions.
+    Built channel by channel from the complement's pairs, as recovery builds
+    its null coordinates: the complement rows of channel q lie in V_q and
+    the V_q are orthogonal, so the subspace is the union over q of
+    :func:`_null_directions` of q's complement system.  A channel whose
+    complement holds every shift adds nothing (when the shifts span V_q),
+    one with no complement shift adds all φ(q) of its real Fourier
+    directions, and a sparse membership takes the per-channel SVD.  The
+    rank cut is the global 1e−10·σ_max: the channels' singular values are
+    exactly those of the complement's stacked coefficient rows.
     """
     keep = set(_checked_pairs(bank, pairs))
     complement = [pr for pr in all_pairs(bank) if pr not in keep]
-    if not complement:
-        return np.eye(bank.n)
-    R = coefficient_rows(bank, complement)
-    _, sv, vh = np.linalg.svd(R, full_matrices=len(R) < bank.n)
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
-    if rank >= bank.n:
+    null = [
+        _null_directions(bank.n, s)
+        for s in _channel_systems(np.zeros(bank.n), complement, bank)
+        if s.rank < s.bins.size
+    ]
+    if not null:
         raise PreconditionError(
             "membership subspace is trivial: every signal consistent with the "
             "constraint set is zero"
         )
-    return vh[rank:].T
+    return np.hstack(null)
+
+
+def _denoise_fit(y, membership, bank: RamanujanFilterBank):
+    """The membership basis B, the checked y, and lad_fit's certified fit of y by B."""
+    y = _checked_signal(y, bank)
+    bank.tight_bound()
+    B = membership_null_basis(bank, getattr(membership, "pairs", membership))
+    return B, y, lad_fit(B, y)
 
 
 def denoise(y, membership, bank: RamanujanFilterBank) -> np.ndarray:
     """ℓ1-closest signal to y among those supported on the membership set.
+
+    min ‖y − B·z‖₁ over the orthonormal membership basis B
+    (:func:`membership_null_basis`), solved by :func:`lad_fit`; the answer
+    is y minus the fit's residual.  Where the optimum is a face, not a
+    point, this is one vertex of it; :func:`~rframes.simplex.lad_fit_unique`
+    says whether it is the only optimum.
 
     Parameters
     ----------
@@ -324,12 +344,8 @@ def denoise(y, membership, bank: RamanujanFilterBank) -> np.ndarray:
         Coefficient pairs allowed to be nonzero; everything else is
         constrained to zero output.
     """
-    y = _checked_signal(y, bank)
-    bank.tight_bound()
-    pairs = getattr(membership, "pairs", membership)
-    B = membership_null_basis(bank, pairs)
-    z = l1_fit(B, y).x
-    return B @ z
+    _, y, fit = _denoise_fit(y, membership, bank)
+    return y - fit.residual
 
 
 @dataclass(frozen=True)

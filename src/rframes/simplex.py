@@ -7,7 +7,8 @@ answers — so phase 1 drops redundant rows instead of failing, the final
 answer is re-solved from the optimal basis against the original data rather
 than read off the accumulated tableau, and every solve self-certifies with a
 primal/dual feasibility + gap check before returning.  :func:`lad_fit` runs
-the least-absolute-deviations form min ‖y − Bz‖₁ on the N×k fit itself.
+the least-absolute-deviations form min ‖y − Bz‖₁ on the N×k fit itself, and
+:func:`lad_fit_unique` certifies whether its fitted signal is the only optimum.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import PreconditionError, SolverError
 
-__all__ = ["LpResult", "simplex_solve", "solve_l1_lp", "l1_fit", "lad_fit"]
+__all__ = ["LpResult", "simplex_solve", "solve_l1_lp", "l1_fit", "lad_fit", "lad_fit_unique"]
 
 _PIVOT_TOL = 1e-9
 _RC_TOL = 1e-9  # reduced-cost threshold for entering variables
@@ -278,7 +279,9 @@ def l1_fit(B, y) -> LpResult:
     """Minimize ‖y − Bz‖₁ over z; returns z with the residual's ℓ1 norm as objective.
 
     Standard form via z = z⁺ − z⁻ and residual r = r⁺ − r⁻ with
-    Bz + r = y and cost on the residual parts only.
+    Bz + r = y and cost on the residual parts only: :func:`simplex_solve` on
+    N rows and 2(N + k) columns.  The library fits with :func:`lad_fit`;
+    this form stays as its independent oracle.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     m, k = B.shape
@@ -326,9 +329,9 @@ def lad_fit(B, y) -> LpResult:
     snap level 1e−11·max(1, ‖y‖∞) is y = 0, fitted by z = 0 without a step.
     ``residual`` is y − Bz with the basis rows at exact zero; ``dual`` is u.
 
-    Missing-coefficient recovery fits through here; ``denoise`` still runs
-    :func:`l1_fit`, whose table-2 vertices move with any change of solver.
-    Once denoise moves, the ±I form of :func:`l1_fit` is deleted.
+    Missing-coefficient recovery and ``denoise`` fit through here.  Where
+    the optimum is a face, the fit returns one vertex of it;
+    :func:`lad_fit_unique` says whether the fitted signal is determined.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, k = B.shape
@@ -473,3 +476,49 @@ def lad_fit(B, y) -> LpResult:
     r[on] = 0.0
     return LpResult(x=z, objective=obj, iterations=it, phase1_iterations=it1,
                     dropped_rows=(), residual=r, dual=u)
+
+
+def lad_fit_unique(B, y, fit: LpResult) -> bool:
+    """Whether the fitted signal y − r of a :func:`lad_fit` optimum is the only one.
+
+    min ‖y − B·z‖₁ is basis pursuit on the residual: min ‖r‖₁ over
+    r ∈ y + range(B).  With Z the rows where r is zero (|r_i| at most the
+    fit's snap level 1e−11·max(1, ‖y‖∞)), r is the unique minimiser, and so
+    is y − r, iff (Fuchs, IEEE TIT 2004)
+
+    * rank(B_Z) = rank(B): no nonzero B·w vanishes on Z, and
+    * some u with Bᵀu = 0 and u = sign(r) off Z has |u_i| < 1 on all of Z.
+
+    The fit's own dual settles the second condition when it is strict on Z,
+    which it can be only when Z holds no rows beyond the basis (the others
+    carry u_i = ±1).  Otherwise the margin t is maximised over those u,
+    subject to |u_i| ≤ 1 − t on Z, by one :func:`simplex_solve` over
+    (u_Z + 1 − t, 1 − t − u_Z, t) ≥ 0.  The margin must exceed 1e−9 either
+    way; rank(·) is the numerical rank at 1e−10·σ_max(B).
+    """
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    r = fit.residual
+    zero = np.abs(r) <= 1e-11 * max(1.0, float(np.abs(y).max(initial=0.0)))
+    BZ = B[zero]
+    m = BZ.shape[0]
+    sv = np.linalg.svd(B, compute_uv=False)
+    cut = 1e-10 * float(sv.max(initial=0.0))
+    sv_z = np.linalg.svd(BZ, compute_uv=False) if m else sv[:0]
+    if np.sum(sv_z > cut) < np.sum(sv > cut):
+        return False
+    if not m:
+        return True  # rank(B) = 0: the fitted signal is 0 for every z
+    sign = np.sign(r[~zero])
+    u = fit.dual
+    if np.array_equal(u[~zero], sign) and np.abs(u[zero]).max() < 1.0 - 1e-9:
+        return True
+    ones = np.ones(m)
+    A = np.block([
+        [BZ.T, np.zeros((B.shape[1], m)), (BZ.T @ ones)[:, None]],
+        [np.eye(m), np.eye(m), 2.0 * ones[:, None]],
+    ])
+    b = np.concatenate([BZ.T @ ones - B[~zero].T @ sign, 2.0 * ones])
+    c = np.zeros(2 * m + 1)
+    c[-1] = -1.0
+    return -simplex_solve(c, A, b).objective > 1e-9

@@ -17,8 +17,16 @@ import pytest
 
 from rframes import uniform_bank
 from rframes.cli import main
-from rframes.experiments import periodic_signal, table1_rows
-from rframes.recovery import all_pairs, recover_missing, truncated_sum
+from rframes.experiments import periodic_signal, table1_rows, table2_rows
+from rframes.recovery import (
+    GaussianNoiseModel,
+    add_noise,
+    all_pairs,
+    denoise,
+    detect_support_set,
+    recover_missing,
+    truncated_sum,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RTOL = 1e-9
@@ -38,6 +46,11 @@ NOISE_LEVEL = {
 # moves with rounding in its input.  Only "not recovered" is pinned here;
 # the objective is pinned in test_table1_plain_objectives.
 VERTEX_CHOICE = {"sup_err_plain", "gain_plain_db"}
+# Table-2 fields of the denoised signal: compared only on rows whose `unique`
+# flag (itself compared exactly) certifies that the ℓ1 optimum is a point.
+# On a face, which vertex the solver returns is not a property of the
+# problem; the objective is pinned in test_table2_denoise_objectives.
+FACE_CHOICE = {"gain_db"}
 
 
 def _is_float(v):
@@ -66,6 +79,8 @@ def _compare(want, got, where="", key=None, scale=None):
     if isinstance(want, dict):
         assert isinstance(got, dict) and list(got) == list(want), where
         for k in want:
+            if k in FACE_CHOICE and want.get("unique") is False:
+                continue
             _compare(want[k], got[k], f"{where}/{k}", k)
     elif isinstance(want, list):
         assert isinstance(got, list) and len(got) == len(want), where
@@ -86,6 +101,8 @@ def _read_csv(path):
 
 
 def _parse_cell(text):
+    if text in ("True", "False"):
+        return text == "True"
     for kind in (int, float):
         try:
             return kind(text)
@@ -123,3 +140,20 @@ def test_table1_plain_objectives():
         retained = [pr for pr in all_pairs(bank) if pr not in missing]
         xhat = recover_missing(truncated_sum(x, retained, bank), retained, bank)
         assert math.isclose(float(np.abs(xhat).sum()), want, rel_tol=RTOL), spec["row"]
+
+
+# ‖y − x̂‖₁ of the table-2 denoisings (reproduce tables, seed 0), computed by
+# the standard-form simplex that denoised before the least-absolute-deviations
+# fit; the rows' optima are faces except row 5, but their objectives are fixed.
+DENOISE_L1 = (7.234063321084527, 9.103332286394838, 9.668616485270945,
+              12.304240232878977, 10.42019005162523, 10.510610288647868,
+              10.853285326359366)
+
+
+def test_table2_denoise_objectives():
+    bank = uniform_bank(30, 1)
+    for j, (spec, want) in enumerate(zip(table2_rows(), DENOISE_L1, strict=True)):
+        x = periodic_signal(30, spec["components"], seed=1000 + j)
+        y = add_noise(x, GaussianNoiseModel(spec["snr_in"]), seed=2000 + j)
+        xhat = denoise(y, detect_support_set(y, bank, 0.45), bank)
+        assert math.isclose(float(np.abs(y - xhat).sum()), want, rel_tol=RTOL), spec["row"]

@@ -9,8 +9,10 @@ import pytest
 from conftest import dft_subspace_projector, trig_ramanujan
 
 from rframes import (
+    Channel,
     GaussianNoiseModel,
     PreconditionError,
+    RamanujanFilterBank,
     SparseNoiseModel,
     add_noise,
     all_pairs,
@@ -304,6 +306,79 @@ def test_membership_null_basis_against_the_dft_masks():
         tall += len(complement) >= N
         wide += len(complement) < N
     assert tall >= 20 and wide >= 10
+
+
+def _svd_null_basis(bank, membership):
+    """The SVD route: the rows of V beyond rank(R), R the complement's coefficient rows."""
+    keep = set(membership)
+    R = coefficient_rows(bank, [pr for pr in all_pairs(bank) if pr not in keep])
+    _, sv, vh = np.linalg.svd(R)
+    return vh[int(np.sum(sv > 1e-10 * sv[0])):].T
+
+
+def _denoise_memberships():
+    """Whole-channel and sparse memberships at N ∈ {30, 70, 126}, p ∈ {1, 2}."""
+    for N in (30, 70, 126):
+        for p in (1, 2):
+            bank = uniform_bank(N, p)
+            pairs = all_pairs(bank)
+            K = len(bank.channels)
+            rng = np.random.default_rng(7 * N + p)
+            for size in (1, 2, K // 2):
+                chosen = set(rng.choice(K, size=size, replace=False).tolist())
+                yield bank, [pr for pr in pairs if pr[1] in chosen], "whole"
+            for fraction in (0.8, 0.95):
+                picks = rng.choice(len(pairs), size=int(fraction * len(pairs)), replace=False)
+                yield bank, [pairs[j] for j in picks], "sparse"
+
+
+def test_membership_null_basis_spans_the_svd_null_space():
+    # differential: the per-channel basis and the null space of the stacked
+    # complement rows are one subspace (equal orthogonal projectors); the
+    # last bank lacks the divisor 2, so all of V_2 lies in the null space
+    checked = 0
+    cases = [(bank, m) for bank, m, _ in _denoise_memberships()] + list(_memberships())
+    gappy = RamanujanFilterBank(6, (Channel(1, 1), Channel(3, 1), Channel(6, 1)))
+    cases.append((gappy, [pr for pr in all_pairs(gappy) if pr[1] == 2][:3]))
+    for bank, membership in cases:
+        want = _svd_null_basis(bank, membership)
+        if not want.shape[1]:
+            continue
+        B = membership_null_basis(bank, membership)
+        assert B.shape == want.shape, (bank.n, bank.ratio, len(membership))
+        assert np.abs(B @ B.T - want @ want.T).max() < 1e-9, (bank.n, bank.ratio, len(membership))
+        checked += 1
+    assert checked >= 80
+
+
+def test_denoise_matches_highs():
+    # min ‖y − v‖₁ subject to ⟨v, f_j⟩ = 0 off the membership, f_j the
+    # shifted trig sums, solved by HiGHS over (v free, e ≥ 0)
+    optimize = pytest.importorskip("scipy.optimize")
+    kinds = set()
+    for bank, membership, kind in _denoise_memberships():
+        N, p = bank.n, bank.ratio
+        keep = set(membership)
+        rows = np.array([np.roll(trig_ramanujan(bank.qs[i], N), p * k)
+                         for k, i in all_pairs(bank) if (k, i) not in keep])
+        _, sv, vh = np.linalg.svd(rows, full_matrices=False)
+        C = vh[: int(np.sum(sv > 1e-10 * sv[0]))]  # orthonormal rows, same constraints
+        rng = np.random.default_rng(N + len(membership))
+        y = rng.standard_normal(N) + 2.0 * membership_null_basis(bank, membership) @ (
+            rng.standard_normal(N - len(C)))
+        eye = np.eye(N)
+        ref = optimize.linprog(np.concatenate([np.zeros(N), np.ones(N)]),
+                               A_ub=np.block([[eye, -eye], [-eye, -eye]]),
+                               b_ub=np.concatenate([y, -y]),
+                               A_eq=np.hstack([C, np.zeros_like(C)]), b_eq=np.zeros(len(C)),
+                               bounds=[(None, None)] * N + [(0, None)] * N, method="highs")
+        assert ref.status == 0
+        xhat = denoise(y, membership, bank)
+        where = (N, p, kind, len(membership))
+        assert math.isclose(np.abs(y - xhat).sum(), ref.fun, rel_tol=1e-9), where
+        assert np.abs(rows @ xhat).max() <= 1e-9 * N * np.abs(y).max(), where
+        kinds.add((N, p, kind))
+    assert len(kinds) == 12
 
 
 def test_denoise_passes_clean_members_through(rng):

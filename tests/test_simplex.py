@@ -13,11 +13,12 @@ from rframes import (
     all_pairs,
     l1_fit,
     lad_fit,
+    lad_fit_unique,
     simplex_solve,
     solve_l1_lp,
     uniform_bank,
 )
-from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows
+from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows, table2_rows
 from rframes.recovery import coefficient_rows
 
 
@@ -335,9 +336,8 @@ def test_lad_fit_shape_validation():
         lad_fit(np.ones((3, 1)), np.ones(2))
 
 
-def test_lad_fit_on_the_degenerate_table1_program(monkeypatch):
-    # the fit that plain recovery runs on table-1 row 4 (reproduce tables,
-    # seed 0): 14 null coordinates, and the optimum leaves 28 residuals at zero
+def _table1_row4_fit(monkeypatch):
+    """The (B, y) that plain recovery fits on table-1 row 4 (reproduce tables, seed 0)."""
     bank = uniform_bank(70, 2)
     x = periodic_signal(70, (5, 7), seed=0)
     missing = {(int(k), int(i)) for k, i in table1_rows()[3]["missing"]}
@@ -351,6 +351,13 @@ def test_lad_fit_on_the_degenerate_table1_program(monkeypatch):
     monkeypatch.setattr(recovery, "lad_fit", capture)
     recovery.recover_missing(recovery.truncated_sum(x, retained, bank), retained, bank)
     (B, y), = seen
+    return B, y
+
+
+def test_lad_fit_on_the_degenerate_table1_program(monkeypatch):
+    # table-1 row 4's fit: 14 null coordinates, and the optimum leaves 28
+    # residuals at zero
+    B, y = _table1_row4_fit(monkeypatch)
     res = lad_fit(B, y)
     assert B.shape == (70, 14)
     assert np.sum(np.abs(res.residual) <= 1e-12 * np.abs(y).max()) == 28
@@ -373,3 +380,108 @@ def test_lad_fit_escapes_a_cycling_plateau_by_blands_rule():
     assert np.isclose(res.objective, l1_fit(B, y).objective, rtol=1e-12)
     assert res.iterations > 2 * n + 50  # the plateau outlasted the stall count
     _assert_certified(res, B, y)
+
+
+# ---------------------------------------------------------------------------
+# uniqueness of an ℓ1 fit
+
+
+def _face_width(B, y):
+    """Brute force: the widest range of a sample of B·z over the optimal face.
+
+    HiGHS minimises and maximises each sample of the fitted signal subject
+    to ‖y − Bz‖₁ staying within 1e-9 relative of its own optimum.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    n, k = B.shape
+    A_eq = np.hstack([B, np.eye(n), -np.eye(n)])
+    A_ub = np.concatenate([np.zeros(k), np.ones(2 * n)])[None]
+    b_ub = [_highs_lad(B, y) * (1 + 1e-9) + 1e-12]
+    bounds = [(None, None)] * k + [(0, None)] * (2 * n)
+    width = 0.0
+    for i in range(n):
+        c = np.concatenate([B[i], np.zeros(2 * n)])
+        lo, hi = (optimize.linprog(sign * c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=y,
+                                   bounds=bounds, method="highs") for sign in (1.0, -1.0))
+        assert lo.status == 0 and hi.status == 0
+        width = max(width, -hi.fun - lo.fun)
+    return width
+
+
+def _lp_calls(monkeypatch):
+    """Count lad_fit_unique's margin LPs."""
+    calls, real = [], simplex.simplex_solve
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "simplex_solve", counted)
+    return calls
+
+
+def test_lad_fit_unique_on_medians(monkeypatch):
+    calls = _lp_calls(monkeypatch)
+    ones = np.ones((5, 1))
+    y = np.array([1.0, 2.0, 7.0, -4.0, 2.5])
+    assert lad_fit_unique(ones, y, lad_fit(ones, y)) and not calls  # the fit's own dual
+    # an even count: every point between the middle two is a median
+    y = np.array([1.0, 2.0, 7.0, -4.0])
+    assert not lad_fit_unique(ones[:4], y, lad_fit(ones[:4], y))
+    # a point inside that face: its dual sign(r) is feasible and vacuously
+    # strict, but no residual is zero, so rank(B_Z) = 0 < rank(B) decides
+    r = y - 1.5
+    inside = simplex.LpResult(x=np.array([1.5]), objective=float(np.abs(r).sum()),
+                              iterations=0, phase1_iterations=0, dropped_rows=(),
+                              residual=r, dual=np.sign(r))
+    assert not lad_fit_unique(ones[:4], y, inside)
+    # three residuals at zero against one unknown: a degenerate vertex whose
+    # own dual is ±1 on two of them, so the margin LP decides (u = 0 there)
+    y = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
+    fit = lad_fit(ones, y)
+    assert np.sum(fit.residual == 0.0) == 3
+    calls.clear()
+    assert lad_fit_unique(ones, y, fit) and len(calls) == 1
+    # y = 0 is fitted without a step; the fitted signal 0 is the only one
+    zero = np.zeros(3)
+    assert lad_fit_unique(np.eye(3)[:, :2], zero, lad_fit(np.eye(3)[:, :2], zero))
+
+
+def test_lad_fit_unique_matches_the_face_width_on_seeded_fits(monkeypatch):
+    # ternary fits are degenerate often enough to be faces half of the time
+    calls = _lp_calls(monkeypatch)
+    rng = np.random.default_rng(2)
+    seen = set()
+    for _ in range(60):
+        n, k = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        B = rng.integers(-1, 2, size=(n, k)).astype(float)
+        y = rng.integers(-2, 3, size=n).astype(float)
+        before = len(calls)
+        unique = lad_fit_unique(B, y, lad_fit(B, y))
+        width = _face_width(B, y)
+        assert unique == (width < 1e-5) and not 1e-5 <= width < 1e-2, (n, k, width)
+        seen.add((unique, len(calls) > before))
+    assert seen == {(True, False), (True, True), (False, True)}
+
+
+def test_lad_fit_unique_on_the_table2_denoisings():
+    # only row 5's denoised signal is determined; the others are faces
+    bank = uniform_bank(30, 1)
+    verdicts = []
+    for j, spec in enumerate(table2_rows()):
+        x = periodic_signal(30, spec["components"], seed=1000 + j)
+        y = recovery.add_noise(x, recovery.GaussianNoiseModel(spec["snr_in"]), seed=2000 + j)
+        B, y, fit = recovery._denoise_fit(y, recovery.detect_support_set(y, bank, 0.45), bank)
+        verdicts.append(lad_fit_unique(B, y, fit))
+        width = _face_width(B, y)
+        assert verdicts[-1] == (width < 1e-5) and not 1e-5 <= width < 1e-2, (j + 1, width)
+    assert verdicts == [False] * 4 + [True] + [False] * 2
+
+
+def test_lad_fit_unique_on_the_degenerate_table1_program(monkeypatch):
+    # 28 residuals at zero against 14 unknowns: the margin LP decides
+    B, y = _table1_row4_fit(monkeypatch)
+    fit = lad_fit(B, y)
+    calls = _lp_calls(monkeypatch)
+    assert not lad_fit_unique(B, y, fit) and len(calls) == 1
+    assert _face_width(B, y) > 1e-2
