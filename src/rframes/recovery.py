@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, SolverError
 from .filterbank import (
     RamanujanFilterBank,
     _checked_pairs,
@@ -39,7 +39,7 @@ from .filterbank import (
     synthesize,
 )
 from .numtheory import _bin_channel, divisors, totient
-from .simplex import lad_fit
+from .simplex import _least_distance, lad_fit
 
 __all__ = [
     "UncertaintyReport",
@@ -321,22 +321,57 @@ def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     return np.hstack(null)
 
 
+def _nearest_optimum(B, y, fit) -> np.ndarray:
+    """The ℓ1 optimum B·z nearest y in ℓ2, given lad_fit's fit of y by B.
+
+    B has orthonormal columns.  Any optimal dual u fixes the optimal face:
+    z is optimal iff u_i·r_i = |r_i| for every residual r = y − B·z, so
+    r_i = 0 where |u_i| < 1 and sign(r_i) ∈ {0, u_i} where |u_i| = 1 (then
+    ‖r‖₁ = uᵀy, the optimum).  With z = fit.x + N·w, N an orthonormal basis
+    of the null space of the equality rows, ‖y − B·z‖₂² is
+    ‖w − NᵀBᵀr‖₂² plus a constant, so the nearest optimum is a least-distance
+    program in w over the sign rows.  The answer keeps the fit's objective
+    to 1e−9 relative, or SolverError.
+    """
+    u, r = fit.dual, fit.residual
+    eq = np.abs(u) < 1.0 - 1e-9
+    N = np.eye(B.shape[1])
+    if eq.any():
+        _, sv, vh = np.linalg.svd(B[eq])
+        N = vh[int(np.sum(sv > 1e-10 * sv[0])):].T
+    w0 = N.T @ (B.T @ r)
+    s = np.sign(u[~eq])
+    rs = np.maximum(s * r[~eq], 0.0)  # a wrong sign is rounding below the fit's gap
+    G = -(s[:, None] * B[~eq]) @ N  # s_i·r_i(w) = rs_i + G_i·w ≥ 0 on the sign rows
+    w = w0 + _least_distance(G, -rs - G @ w0)
+    xhat = y - r + B @ (N @ w)
+    obj = float(np.abs(y - xhat).sum())
+    if obj > fit.objective + 1e-9 * max(1.0, fit.objective):
+        raise SolverError(
+            f"nearest ℓ1 optimum left the optimal face: ‖y − x̂‖₁ = {obj!r} "
+            f"against {fit.objective!r}"
+        )
+    return xhat
+
+
 def _denoise_fit(y, membership, bank: RamanujanFilterBank):
-    """The membership basis B, the checked y, and lad_fit's certified fit of y by B."""
+    """denoise's x̂, with the membership basis B, the checked y and lad_fit's fit of y by B."""
     y = _checked_signal(y, bank)
     bank.tight_bound()
     B = membership_null_basis(bank, getattr(membership, "pairs", membership))
-    return B, y, lad_fit(B, y)
+    fit = lad_fit(B, y)
+    return _nearest_optimum(B, y, fit), B, y, fit
 
 
 def denoise(y, membership, bank: RamanujanFilterBank) -> np.ndarray:
     """ℓ1-closest signal to y among those supported on the membership set.
 
     min ‖y − B·z‖₁ over the orthonormal membership basis B
-    (:func:`membership_null_basis`), solved by :func:`lad_fit`; the answer
-    is y minus the fit's residual.  Where the optimum is a face, not a
-    point, this is one vertex of it; :func:`~rframes.simplex.lad_fit_unique`
-    says whether it is the only optimum.
+    (:func:`membership_null_basis`), solved by :func:`lad_fit`.  Where the
+    optimum is a face, not a point, the answer is the optimum nearest y in
+    ℓ2 (:func:`_nearest_optimum`), a fixed point of the face that no pivot
+    order moves; :func:`~rframes.simplex.lad_fit_unique` says whether the
+    face is a point.
 
     Parameters
     ----------
@@ -344,8 +379,7 @@ def denoise(y, membership, bank: RamanujanFilterBank) -> np.ndarray:
         Coefficient pairs allowed to be nonzero; everything else is
         constrained to zero output.
     """
-    _, y, fit = _denoise_fit(y, membership, bank)
-    return y - fit.residual
+    return _denoise_fit(y, membership, bank)[0]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ than read off the accumulated tableau, and every solve self-certifies with a
 primal/dual feasibility + gap check before returning.  :func:`lad_fit` runs
 the least-absolute-deviations form min ‖y − Bz‖₁ on the N×k fit itself, and
 :func:`lad_fit_unique` certifies whether its fitted signal is the only optimum.
+:func:`_least_distance` (NNLS-based) projects onto a polyhedron.
 """
 
 from __future__ import annotations
@@ -330,8 +331,9 @@ def lad_fit(B, y) -> LpResult:
     ``residual`` is y − Bz with the basis rows at exact zero; ``dual`` is u.
 
     Missing-coefficient recovery and ``denoise`` fit through here.  Where
-    the optimum is a face, the fit returns one vertex of it;
-    :func:`lad_fit_unique` says whether the fitted signal is determined.
+    the optimum is a face, the fit returns one vertex of it (``denoise``
+    then takes the face's point nearest y); :func:`lad_fit_unique` says
+    whether the fitted signal is determined.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n, k = B.shape
@@ -489,16 +491,20 @@ def lad_fit_unique(B, y, fit: LpResult) -> bool:
     * rank(B_Z) = rank(B): no nonzero B·w vanishes on Z, and
     * some u with Bᵀu = 0 and u = sign(r) off Z has |u_i| < 1 on all of Z.
 
-    The fit's own dual settles the second condition when it is strict on Z,
-    which it can be only when Z holds no rows beyond the basis (the others
-    carry u_i = ±1).  Otherwise the margin t is maximised over those u,
-    subject to |u_i| ≤ 1 − t on Z, by one :func:`simplex_solve` over
-    (u_Z + 1 − t, 1 − t − u_Z, t) ≥ 0.  The margin must exceed 1e−9 either
-    way; rank(·) is the numerical rank at 1e−10·σ_max(B).
+    The second condition is a margin LP: maximise t over those u subject
+    to |u_i| ≤ 1 − t on Z, one :func:`simplex_solve` over
+    (u_Z + 1 − t, 1 − t − u_Z, t) ≥ 0, which the fit's own dual makes
+    feasible at t = 0; the margin must exceed 1e−9.  rank(·) is the
+    numerical rank at 1e−10·σ_max(B).
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    r = fit.residual
+    r = np.asarray(fit.residual, dtype=float)
+    if not y.shape == r.shape == (B.shape[0],):
+        raise PreconditionError(
+            f"B has {B.shape[0]} rows, y {y.shape[0]} entries and the fit's "
+            f"residual {r.shape[0]}"
+        )
     zero = np.abs(r) <= 1e-11 * max(1.0, float(np.abs(y).max(initial=0.0)))
     BZ = B[zero]
     m = BZ.shape[0]
@@ -510,9 +516,6 @@ def lad_fit_unique(B, y, fit: LpResult) -> bool:
     if not m:
         return True  # rank(B) = 0: the fitted signal is 0 for every z
     sign = np.sign(r[~zero])
-    u = fit.dual
-    if np.array_equal(u[~zero], sign) and np.abs(u[zero]).max() < 1.0 - 1e-9:
-        return True
     ones = np.ones(m)
     A = np.block([
         [BZ.T, np.zeros((B.shape[1], m)), (BZ.T @ ones)[:, None]],
@@ -522,3 +525,64 @@ def lad_fit_unique(B, y, fit: LpResult) -> bool:
     c = np.zeros(2 * m + 1)
     c[-1] = -1.0
     return -simplex_solve(c, A, b).objective > 1e-9
+
+
+def _nnls(A, b) -> np.ndarray:
+    """min ‖A·x − b‖₂ over x ≥ 0: Lawson & Hanson's active-set NNLS.
+
+    The passive set P grows by the coordinate of largest gradient
+    w = Aᵀ(b − Ax) while some w_j exceeds the tolerance; an unconstrained
+    least-squares solve on P that turns a coordinate nonpositive is cut
+    back along the segment to the last feasible x, dropping the coordinates
+    that reach 0.  A coordinate that rounding keeps from entering is passed
+    over until x moves.  SolverError after 3n + 50 additions.
+    """
+    m, n = A.shape
+    scale = max(1.0, float(np.abs(A).sum(axis=0).max(initial=0.0)))
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * scale
+    x = np.zeros(n)
+    P = np.zeros(n, dtype=bool)
+    blocked = np.zeros(n, dtype=bool)
+    for _ in range(3 * n + 50):
+        w = A.T @ (b - A @ x)
+        grow = ~P & ~blocked & (w > tol)
+        if not grow.any():
+            return x
+        j = int(np.argmax(np.where(grow, w, -np.inf)))
+        P[j] = True
+        zp = np.linalg.lstsq(A[:, P], b, rcond=None)[0]
+        if zp[np.count_nonzero(P[:j])] <= tol:
+            P[j] = False
+            blocked[j] = True
+            continue
+        blocked[:] = False
+        while not (zp > tol).all():
+            xp = x[P]
+            cut = zp <= tol
+            alpha = float(np.min(xp[cut] / (xp[cut] - zp[cut])))
+            x[P] = xp + alpha * (zp - xp)
+            P &= x > tol
+            x[~P] = 0.0
+            zp = np.linalg.lstsq(A[:, P], b, rcond=None)[0]
+        x[:] = 0.0
+        x[P] = zp
+    raise SolverError(f"NNLS exceeded {3 * n + 50} additions")
+
+
+def _least_distance(G, h) -> np.ndarray:
+    """min ‖v‖₂ subject to G·v ≥ h, for a feasible system.
+
+    Lawson & Hanson's least-distance program (Solving Least Squares
+    Problems, 1974, ch. 23): with ρ = E·λ − e the residual of the NNLS fit
+    of e = (0, …, 0, 1) by E = [Gᵀ; hᵀ], λ ≥ 0, the answer is
+    v = −ρ_{1..k}/ρ_{k+1}; ρ = 0 would mean G·v ≥ h has no solution.
+    """
+    G = np.atleast_2d(np.asarray(G, dtype=float))
+    k = G.shape[1]
+    E = np.vstack([G.T, np.asarray(h, dtype=float)[None, :]])
+    e = np.zeros(k + 1)
+    e[-1] = 1.0
+    rho = E @ _nnls(E, e) - e
+    if rho[-1] > -1e-12:
+        raise SolverError("least-distance constraints G·v ≥ h are infeasible")
+    return -rho[:-1] / rho[-1]

@@ -48,8 +48,10 @@ NOISE_LEVEL = {
 VERTEX_CHOICE = {"sup_err_plain", "gain_plain_db"}
 # Table-2 fields of the denoised signal: compared only on rows whose `unique`
 # flag (itself compared exactly) certifies that the ℓ1 optimum is a point.
-# On a face, which vertex the solver returns is not a property of the
-# problem; the objective is pinned in test_table2_denoise_objectives.
+# On a face the golden gain_db is that of a vertex the standard-form simplex
+# returned, not of the face's optimum nearest y that denoise returns (checked
+# in tests/test_recovery.py); the objective is pinned in
+# test_table2_denoise_objectives.
 FACE_CHOICE = {"gain_db"}
 
 

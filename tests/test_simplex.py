@@ -13,13 +13,13 @@ from rframes import (
     all_pairs,
     l1_fit,
     lad_fit,
-    lad_fit_unique,
     simplex_solve,
     solve_l1_lp,
     uniform_bank,
 )
 from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows, table2_rows
 from rframes.recovery import coefficient_rows
+from rframes.simplex import lad_fit_unique
 
 
 def test_textbook_example():
@@ -408,23 +408,10 @@ def _face_width(B, y):
     return width
 
 
-def _lp_calls(monkeypatch):
-    """Count lad_fit_unique's margin LPs."""
-    calls, real = [], simplex.simplex_solve
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(simplex, "simplex_solve", counted)
-    return calls
-
-
-def test_lad_fit_unique_on_medians(monkeypatch):
-    calls = _lp_calls(monkeypatch)
+def test_lad_fit_unique_on_medians():
     ones = np.ones((5, 1))
     y = np.array([1.0, 2.0, 7.0, -4.0, 2.5])
-    assert lad_fit_unique(ones, y, lad_fit(ones, y)) and not calls  # the fit's own dual
+    assert lad_fit_unique(ones, y, lad_fit(ones, y))
     # an even count: every point between the middle two is a median
     y = np.array([1.0, 2.0, 7.0, -4.0])
     assert not lad_fit_unique(ones[:4], y, lad_fit(ones[:4], y))
@@ -436,32 +423,50 @@ def test_lad_fit_unique_on_medians(monkeypatch):
                               residual=r, dual=np.sign(r))
     assert not lad_fit_unique(ones[:4], y, inside)
     # three residuals at zero against one unknown: a degenerate vertex whose
-    # own dual is ±1 on two of them, so the margin LP decides (u = 0 there)
+    # own dual is ±1 on two of them, where the margin LP finds u = 0
     y = np.array([0.0, 0.0, 0.0, 1.0, -1.0])
     fit = lad_fit(ones, y)
     assert np.sum(fit.residual == 0.0) == 3
-    calls.clear()
-    assert lad_fit_unique(ones, y, fit) and len(calls) == 1
+    assert lad_fit_unique(ones, y, fit)
     # y = 0 is fitted without a step; the fitted signal 0 is the only one
     zero = np.zeros(3)
     assert lad_fit_unique(np.eye(3)[:, :2], zero, lad_fit(np.eye(3)[:, :2], zero))
 
 
-def test_lad_fit_unique_matches_the_face_width_on_seeded_fits(monkeypatch):
+def test_lad_fit_unique_guards_the_fit_shape():
+    ones = np.ones((5, 1))
+    y = np.array([1.0, 2.0, 7.0, -4.0, 2.5])
+    fit = lad_fit(ones[:4], y[:4])
+    with pytest.raises(PreconditionError):
+        lad_fit_unique(ones, y, fit)
+
+
+def test_least_distance():
+    # the nearest point of a half-space {a·v ≥ 1} is a/‖a‖²
+    a = np.array([[3.0, 4.0]])
+    assert np.abs(simplex._least_distance(a, [1.0]) - a[0] / 25.0).max() < 1e-13
+    # a box corner: v ≥ (1, 2) and v₁ ≤ 5
+    G = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    assert np.abs(simplex._least_distance(G, [1.0, 2.0, -5.0]) - [1.0, 2.0]).max() < 1e-13
+    # 0 is feasible: nothing moves
+    assert not simplex._least_distance(G, [-1.0, 0.0, -5.0]).any()
+    with pytest.raises(SolverError):
+        simplex._least_distance(np.array([[1.0], [-1.0]]), [1.0, 1.0])
+
+
+def test_lad_fit_unique_matches_the_face_width_on_seeded_fits():
     # ternary fits are degenerate often enough to be faces half of the time
-    calls = _lp_calls(monkeypatch)
     rng = np.random.default_rng(2)
     seen = set()
     for _ in range(60):
         n, k = int(rng.integers(2, 12)), int(rng.integers(1, 4))
         B = rng.integers(-1, 2, size=(n, k)).astype(float)
         y = rng.integers(-2, 3, size=n).astype(float)
-        before = len(calls)
         unique = lad_fit_unique(B, y, lad_fit(B, y))
         width = _face_width(B, y)
         assert unique == (width < 1e-5) and not 1e-5 <= width < 1e-2, (n, k, width)
-        seen.add((unique, len(calls) > before))
-    assert seen == {(True, False), (True, True), (False, True)}
+        seen.add(unique)
+    assert seen == {True, False}
 
 
 def test_lad_fit_unique_on_the_table2_denoisings():
@@ -471,7 +476,7 @@ def test_lad_fit_unique_on_the_table2_denoisings():
     for j, spec in enumerate(table2_rows()):
         x = periodic_signal(30, spec["components"], seed=1000 + j)
         y = recovery.add_noise(x, recovery.GaussianNoiseModel(spec["snr_in"]), seed=2000 + j)
-        B, y, fit = recovery._denoise_fit(y, recovery.detect_support_set(y, bank, 0.45), bank)
+        _, B, y, fit = recovery._denoise_fit(y, recovery.detect_support_set(y, bank, 0.45), bank)
         verdicts.append(lad_fit_unique(B, y, fit))
         width = _face_width(B, y)
         assert verdicts[-1] == (width < 1e-5) and not 1e-5 <= width < 1e-2, (j + 1, width)
@@ -479,9 +484,7 @@ def test_lad_fit_unique_on_the_table2_denoisings():
 
 
 def test_lad_fit_unique_on_the_degenerate_table1_program(monkeypatch):
-    # 28 residuals at zero against 14 unknowns: the margin LP decides
+    # 28 residuals at zero against 14 unknowns: a degenerate vertex of a face
     B, y = _table1_row4_fit(monkeypatch)
-    fit = lad_fit(B, y)
-    calls = _lp_calls(monkeypatch)
-    assert not lad_fit_unique(B, y, fit) and len(calls) == 1
+    assert not lad_fit_unique(B, y, lad_fit(B, y))
     assert _face_width(B, y) > 1e-2
