@@ -5,9 +5,10 @@ Ramanujan sum and keeps every p_i-th output.  Uniform banks (all p_i equal)
 are the ones with polyphase/frame diagnostics; non-uniform banks arise from
 the rank-repair construction in :mod:`rframes.subspaces`.
 
-A bank owns its linear operator: the filter matrix and the exact frame
-bounds, counted over the bin owners q(f) = N/gcd(f, N), are derived once per
-bank object, and :func:`coefficient_rows` is the one builder of shifted filters.
+A bank owns its linear operator: the filter matrix, the exact frame bounds,
+counted over the bin owners q(f) = N/gcd(f, N), and a uniform bank's channel
+geometry in real Fourier coordinates are derived once per bank object, and
+:func:`coefficient_rows` is the one builder of shifted filters.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .numtheory import _bin_channel, divisors, ramanujan_sum
 
 __all__ = [
     "Channel",
+    "ChannelGeometry",
     "RamanujanFilterBank",
     "uniform_bank",
     "coefficient_rows",
@@ -42,6 +44,27 @@ def _is_int(v) -> bool:
 class Channel:
     q: int
     p: int
+
+
+@dataclass(frozen=True)
+class ChannelGeometry:
+    """Divisor q's shifts in an orthonormal basis U of V_q, for a uniform bank.
+
+    Coordinate j is the inner product with √(2/N)·cos or sin(2π·g_j·n/N) for
+    a half-spectrum bin g_j that q owns (1/√N·cos at g = 0 and N/2), so U has
+    φ(q) columns.  Row k of ``rows`` is the kept shift L_{pk}c_q in U's
+    coordinates, N·w_j·(cos or sin)(2π·g_j·pk/N), for every k ∈ Z_d, and
+    rows = W·diag(sv)·vt is its SVD, vt φ(q)×φ(q) (the full SVD where d < φ(q)).
+    Read-only.
+    """
+
+    q: int
+    bins: np.ndarray  # g_j per coordinate
+    sine: np.ndarray  # True where coordinate j is the sine of its bin
+    w: np.ndarray  # the basis norm factor of coordinate j
+    rows: np.ndarray  # d × φ(q)
+    sv: np.ndarray
+    vt: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -126,6 +149,38 @@ class RamanujanFilterBank:
         weights = N * N * np.bincount(qs)[qs] // ps  # N²·m_q/p at each channel's q
         return int(weights.min()), int(weights.max())
 
+    @cached_property
+    def channel_geometry(self) -> tuple[ChannelGeometry, ...]:
+        """One :class:`ChannelGeometry` per divisor q of N, ascending; built once per bank.
+
+        The recovery layer selects its retained shifts from ``rows`` and takes
+        the cached SVD for a channel that keeps all d of them.  Holds
+        N²/p + Σ_q φ(q)² doubles (notes/decisions.md, entry 9).
+
+        Raises
+        ------
+        PreconditionError
+            If the bank is not uniform.
+        """
+        N, p = self.n, self.ratio
+        half = np.arange(N // 2 + 1)
+        owner = _bin_channel(half, N)
+        norm = np.where((half == 0) | (2 * half == N), 1.0 / math.sqrt(N), math.sqrt(2.0 / N))
+        s = p * np.arange(N // p)
+        out = []
+        for q in divisors(N).divisors:
+            g = half[owner == q]
+            bins = np.concatenate([g, g[(g != 0) & (2 * g != N)]])
+            sine = np.arange(bins.size) >= g.size
+            w = norm[bins]
+            angle = (2.0 * np.pi / N) * ((s[:, None] * bins) % N)
+            rows = N * w * np.where(sine, np.sin(angle), np.cos(angle))
+            _, sv, vt = np.linalg.svd(rows, full_matrices=s.size < bins.size)
+            for a in (bins, sine, w, rows, sv, vt):
+                a.flags.writeable = False  # banks are shared: see uniform_bank
+            out.append(ChannelGeometry(q, bins, sine, w, rows, sv, vt))
+        return tuple(out)
+
     def tight_bound(self) -> float:
         """The tight frame bound A = N²·m/p of a uniform bank, exact.
 
@@ -150,8 +205,8 @@ class RamanujanFilterBank:
 def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
     """The full divisor bank over Z_N with one common decimation ratio p.
 
-    One bank per (N, p), so its filter matrix and frame bounds are derived
-    once for every caller; the 32 most recent are kept.
+    One bank per (N, p), so its filter matrix, frame bounds and channel
+    geometry are derived once for every caller; the 32 most recent are kept.
     """
     if N < 1:
         raise PreconditionError(f"need N >= 1, got {N}")
@@ -162,21 +217,40 @@ def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
 
 
 def _checked_pairs(bank: RamanujanFilterBank, pairs) -> list[tuple[int, int]]:
-    """The (k, i) pairs as ints, each with i < K and k ∈ Z_{N/p_i}, none repeated."""
+    """The (k, i) pairs as ints, each with i < K and k ∈ Z_{N/p_i}, none repeated.
+
+    A plain loop: on the two-pair lists of the erasure certificates an array
+    route costs more than ten times as much (notes/decisions.md, entry 9).
+
+    Raises
+    ------
+    PreconditionError
+        If an entry is not a pair of integers (floats, strings and bools are
+        refused, not truncated), or a pair is out of range or repeated.
+    """
     K = len(bank.channels)
+    d = [bank.n // ch.p for ch in bank.channels]
     out: list[tuple[int, int]] = []
-    seen = set()
-    for k, i in pairs:
-        k, i = int(k), int(i)
+    for pair in pairs:
+        try:
+            k, i = pair
+        except (TypeError, ValueError):
+            raise PreconditionError(f"coefficient pair {pair!r} is not a (k, i) pair") from None
+        if type(k) is not int or type(i) is not int:  # Python ints pass without a call
+            if not (_is_int(k) and _is_int(i)):
+                raise PreconditionError(f"coefficient pair {pair!r} is not a pair of integers")
+            k, i = int(k), int(i)
         if not 0 <= i < K:
             raise PreconditionError(f"channel index {i} out of range (K={K})")
-        d = bank.n // bank.channels[i].p
-        if not 0 <= k < d:
-            raise PreconditionError(f"shift index {k} outside Z_{d}")
-        if (k, i) in seen:
-            raise PreconditionError(f"duplicate coefficient pair {(k, i)}")
-        seen.add((k, i))
+        if not 0 <= k < d[i]:
+            raise PreconditionError(f"shift index {k} outside Z_{d[i]}")
         out.append((k, i))
+    if len(set(out)) < len(out):  # one set build; name the first repeat only on failure
+        seen = set()
+        for pair in out:
+            if pair in seen:
+                raise PreconditionError(f"duplicate coefficient pair {pair}")
+            seen.add(pair)
     return out
 
 

@@ -24,7 +24,7 @@ subspace.  Every ℓ1 fit is :func:`~rframes.simplex.lad_fit`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .filterbank import (
     coefficient_rows,
     synthesize,
 )
-from .numtheory import _bin_channel, divisors, totient
+from .numtheory import divisors, totient
 from .simplex import _least_distance, lad_fit
 
 __all__ = [
@@ -130,10 +130,7 @@ def truncated_sum(x, pairs, bank: RamanujanFilterBank) -> np.ndarray:
     """
     bank.tight_bound()  # first: a non-uniform bank's coefficient arrays differ in length
     coeffs = np.array(analyze(x, bank))
-    kept = np.zeros(coeffs.shape, dtype=bool)
-    k, i = np.array(_checked_pairs(bank, pairs), dtype=int).reshape(-1, 2).T
-    kept[i, k] = True
-    return synthesize(np.where(kept, coeffs, 0.0), bank)
+    return synthesize(np.where(_pair_mask(bank, pairs), coeffs, 0.0), bank)
 
 
 # ---------------------------------------------------------------------------
@@ -144,61 +141,67 @@ def truncated_sum(x, pairs, bank: RamanujanFilterBank) -> np.ndarray:
 class _ChannelSystem:
     """Channel q's retained coefficients as b = B·α in real Fourier coordinates.
 
-    Coordinate j of α is the inner product with √(2/N)·cos or sin(2π·g_j·n/N)
-    for a half-spectrum bin g_j that q owns (1/√N·cos at g = 0 and N/2): an
-    orthonormal basis U of V_q with φ(q) columns.  Row s of B is a retained
+    bins, sine and w describe the orthonormal basis U of V_q
+    (:class:`~rframes.filterbank.ChannelGeometry`).  Row s of B is a retained
     shift, B = W·diag(sv)·vt is its SVD with vt square (φ(q)×φ(q)), and
     t = Uᵀ·observed.  The first ``rank`` rows of vt are the directions the
     retained shifts determine, the rest the null directions.
     """
 
     q: int
-    bins: np.ndarray  # g_j per coordinate
-    sine: np.ndarray  # True where coordinate j is the sine of its bin
-    w: np.ndarray  # the basis norm factor of coordinate j
+    bins: np.ndarray
+    sine: np.ndarray
+    w: np.ndarray
     sv: np.ndarray
     vt: np.ndarray
     t: np.ndarray
     rank: int
 
 
-def _channel_systems(observed, pairs, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
+def _pair_mask(bank: RamanujanFilterBank, pairs) -> np.ndarray:
+    """The checked pairs of a uniform bank as a K×d mask, entry (i, k) set for pair (k, i)."""
+    k, i = np.array(_checked_pairs(bank, pairs), dtype=int).reshape(-1, 2).T
+    keep = np.zeros((len(bank.channels), bank.n // bank.ratio), dtype=bool)
+    keep[i, k] = True
+    return keep
+
+
+def _channel_systems(observed, keep, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
     """One :class:`_ChannelSystem` per divisor q of N, for a uniform bank.
 
-    The rows L_{pk}c_q lie in V_q and the V_q are orthogonal, so the
-    coefficient constraints split by channel.  In U's coordinates
-    ⟨x, L_s c_q⟩ = Σ_j N·w_j·(cos or sin)(2π·g_j·s/N)·α_j, with w_j = √(2/N)
-    (1/√N at the edge bins), and one rfft of observed gives every t.  The
-    rank cut s > 1e−10·max σ runs over all channels at once: the singular
-    values of the stacked rows R are the union of the channels', so this is
-    the cut of the simplex's row reduction on R.  A channel that keeps fewer
-    shifts than φ(q) takes the full SVD, because the thin vt stops at the
-    shift count and would lose null directions.
+    keep is the K×d mask of the retained pairs (:func:`_pair_mask`), so the
+    pairs are checked once by the caller, and their order does not matter:
+    each channel's rows are taken k-ascending, channel-major.  The rows
+    L_{pk}c_q lie in V_q and the V_q are orthogonal, so the coefficient
+    constraints split by channel.  B is the retained rows of the bank's
+    cached ``channel_geometry``, and one rfft of observed gives every t.  A
+    channel that keeps all d shifts takes the cached SVD; only a channel
+    with some shifts missing calls the SVD.  The rank cut s > 1e−10·max σ
+    runs over all channels at once: the singular values of the stacked rows
+    R are the union of the channels', so this is the cut of the simplex's
+    row reduction on R.  A channel that keeps fewer shifts than φ(q) takes
+    the full SVD, because the thin vt stops at the shift count and would
+    lose null directions.
     """
-    N, p = bank.n, bank.ratio
     X = np.fft.rfft(observed)
-    half = np.arange(N // 2 + 1)
-    owner = _bin_channel(half, N)
-    norm = np.where((half == 0) | (2 * half == N), 1.0 / math.sqrt(N), math.sqrt(2.0 / N))
-    k, i = np.array(_checked_pairs(bank, pairs), dtype=int).reshape(-1, 2).T
-    q_of = np.array(bank.qs)[i]
-    systems = []
-    for q in divisors(N).divisors:
-        g = half[owner == q]
-        bins = np.concatenate([g, g[(g != 0) & (2 * g != N)]])
-        sine = np.arange(bins.size) >= g.size
-        w = norm[bins]
-        s = p * k[q_of == q]
-        angle = (2.0 * np.pi / N) * ((s[:, None] * bins) % N)
-        B = N * w * np.where(sine, np.sin(angle), np.cos(angle))
-        if s.size:
-            _, sv, vt = np.linalg.svd(B, full_matrices=s.size < bins.size)
+    d = keep.shape[1]
+    qs = np.array(bank.qs)
+    svds = []
+    for geo in bank.channel_geometry:
+        ks = np.nonzero(keep[qs == geo.q])[1]
+        if ks.size == d and np.bincount(ks, minlength=d).all():  # each shift once
+            svds.append((geo.sv, geo.vt))
+        elif ks.size:
+            svds.append(np.linalg.svd(geo.rows[ks], full_matrices=ks.size < geo.bins.size)[1:])
         else:
-            sv, vt = np.zeros(0), np.eye(bins.size)
-        t = w * np.where(sine, -X[bins].imag, X[bins].real)
-        systems.append(_ChannelSystem(q, bins, sine, w, sv, vt, t, rank=0))
-    cut = 1e-10 * max((s.sv[0] for s in systems if s.sv.size), default=0.0)
-    return [replace(s, rank=int(np.sum(s.sv > cut))) for s in systems]
+            svds.append((np.zeros(0), np.eye(geo.bins.size)))
+    cut = 1e-10 * max((sv[0] for sv, _ in svds if sv.size), default=0.0)
+    return [
+        _ChannelSystem(geo.q, geo.bins, geo.sine, geo.w, sv, vt,
+                       t=geo.w * np.where(geo.sine, -X[geo.bins].imag, X[geo.bins].real),
+                       rank=int(np.sum(sv > cut)))
+        for geo, (sv, vt) in zip(bank.channel_geometry, svds)
+    ]
 
 
 def _spectrum(N: int, system: _ChannelSystem, coords: np.ndarray) -> np.ndarray:
@@ -230,7 +233,7 @@ def _solve_channels(observed, pairs, bank: RamanujanFilterBank, killed=()) -> np
     N = bank.n
     X_p = np.zeros(N // 2 + 1, dtype=complex)
     null = []
-    for s in _channel_systems(observed, pairs, bank):
+    for s in _channel_systems(observed, _pair_mask(bank, pairs), bank):
         if s.q in killed:
             if np.linalg.norm(s.t) > 1e-7 * np.linalg.norm(observed):
                 raise PreconditionError(
@@ -299,15 +302,16 @@ def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     Built channel by channel from the complement's pairs, as recovery builds
     its null coordinates: the complement rows of channel q lie in V_q and
     the V_q are orthogonal, so the subspace is the union over q of
-    :func:`_null_directions` of q's complement system.  A channel whose
-    complement holds every shift adds nothing (when the shifts span V_q),
-    one with no complement shift adds all φ(q) of its real Fourier
-    directions, and a sparse membership takes the per-channel SVD.  The
+    :func:`_null_directions` of q's complement system.  The complement is
+    the negated K×d mask of the membership, which is checked once.  A
+    channel whose complement holds every shift adds nothing (when the shifts
+    span V_q) and takes the bank's cached SVD, one with no complement shift
+    adds all φ(q) of its real Fourier directions, and a sparse membership
+    takes the per-channel SVD.  The
     rank cut is the global 1e−10·σ_max: the channels' singular values are
     exactly those of the complement's stacked coefficient rows.
     """
-    keep = set(_checked_pairs(bank, pairs))
-    complement = [pr for pr in all_pairs(bank) if pr not in keep]
+    complement = ~_pair_mask(bank, pairs)
     null = [
         _null_directions(bank.n, s)
         for s in _channel_systems(np.zeros(bank.n), complement, bank)

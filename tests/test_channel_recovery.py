@@ -14,8 +14,11 @@ import rframes.recovery as recovery
 import rframes.simplex as simplex
 from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
+    Channel,
     PreconditionError,
+    RamanujanFilterBank,
     all_pairs,
+    denoise,
     frame_report,
     recover_missing,
     recover_missing_periodic,
@@ -25,9 +28,15 @@ from rframes import (
     uniform_bank,
 )
 from rframes.cli import main
-from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows
+from rframes.experiments import (
+    denoise_instances,
+    periodic_signal,
+    recovery_instances,
+    sparse_top_channel,
+    table1_rows,
+)
 from rframes.io import write_pairs, write_signal
-from rframes.recovery import _channel_systems, _null_directions, coefficient_rows
+from rframes.recovery import _channel_systems, _null_directions, _pair_mask, coefficient_rows
 
 
 def _drop(bank, fraction, draw):
@@ -40,7 +49,7 @@ def _drop(bank, fraction, draw):
 
 def _null_dims(bank, retained):
     return {s.q: s.bins.size - s.rank
-            for s in _channel_systems(np.zeros(bank.n), retained, bank)}
+            for s in _channel_systems(np.zeros(bank.n), _pair_mask(bank, retained), bank)}
 
 
 @pytest.mark.parametrize("N,draw", [(105, 1), (120, 0), (150, 0), (150, 2),
@@ -124,7 +133,7 @@ def test_null_dimensions_match_the_shift_rank_deficit():
                 for _, i in retained:
                     shifts[bank.qs[i]] += 1
                 Z = []
-                for s in _channel_systems(np.zeros(N), retained, bank):
+                for s in _channel_systems(np.zeros(N), _pair_mask(bank, retained), bank):
                     Zq = _null_directions(N, s)
                     assert Zq.shape == (N, want[s.q]), (N, p, fraction, s.q)
                     Z.append(Zq)
@@ -221,3 +230,108 @@ def test_recovery_matches_highs(N, p, fraction, draw):
     xhat = recover_missing(truncated_sum(x, retained, bank), retained, bank)
     assert np.isclose(np.abs(xhat).sum(), ref.fun, rtol=1e-7, atol=0)
     assert np.abs(R @ (xhat - x)).max() <= 1e-8 * np.abs(R @ x).max()
+
+
+# ---------------------------------------------------------------------------
+# the bank's cached channel geometry
+
+
+def test_channel_geometry_maps_back_to_the_shifts():
+    # U's columns from the cached bins, sine flags and weights: rows·Uᵀ must
+    # give back every kept shift, as coefficient_rows and the trig sums build it
+    checked = 0
+    for N in (30, 70, 126):
+        for p in (1, 2):
+            bank = uniform_bank(N, p)
+            if not frame_report(bank).tight:
+                continue
+            d, n = N // p, np.arange(N)
+            assert [g.q for g in bank.channel_geometry] == list(bank.qs)
+            for i, g in enumerate(bank.channel_geometry):
+                angle = 2.0 * np.pi * np.outer(n, g.bins) / N
+                U = g.w * np.where(g.sine, np.sin(angle), np.cos(angle))
+                assert np.abs(U.T @ U - np.eye(totient(g.q))).max() <= 1e-12
+                trig = np.array([np.roll(trig_ramanujan(g.q, N), p * k) for k in range(d)])
+                scale = np.abs(trig).max()
+                shifts = g.rows @ U.T
+                assert np.abs(shifts - trig).max() <= 1e-12 * scale, (N, p, g.q)
+                lib = coefficient_rows(bank, [(k, i) for k in range(d)])
+                assert np.abs(shifts - lib).max() <= 1e-12 * scale, (N, p, g.q)
+                # the cached SVD factors the rows
+                assert g.vt.shape == (totient(g.q),) * 2
+                assert np.abs(g.vt @ g.vt.T - np.eye(totient(g.q))).max() <= 1e-12
+                sv = np.linalg.svd(g.rows, compute_uv=False)
+                assert np.abs(g.sv - sv).max() <= 1e-12 * sv[0]
+                Wsv = g.rows @ g.vt[: g.sv.size].T  # = W·diag(sv), orthogonal columns
+                assert np.abs(Wsv.T @ Wsv - np.diag(g.sv**2)).max() <= 1e-12 * sv[0] ** 2
+            checked += 1
+    assert checked >= 4
+
+
+def test_channel_geometry_is_built_once_and_read_only():
+    bank = uniform_bank(30, 1)
+    geometry = bank.channel_geometry
+    assert uniform_bank(30, 1).channel_geometry is geometry
+    for g in geometry:
+        for name in ("bins", "sine", "w", "rows", "sv", "vt"):
+            a = getattr(g, name)
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = a[(0,) * a.ndim]
+        with pytest.raises(AttributeError):
+            g.rows = np.zeros_like(g.rows)
+    with pytest.raises(PreconditionError):
+        RamanujanFilterBank(6, (Channel(1, 1), Channel(2, 2))).channel_geometry
+
+
+def test_a_second_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
+    bank = uniform_bank(70, 2)
+    d = 35
+    # channels 1 and 3 lose five shifts, 6 loses them all, the other five keep every shift
+    gone = {(k, i) for i in (1, 3) for k in range(5)} | {(k, 6) for k in range(d)}
+    retained = [pr for pr in all_pairs(bank) if pr not in gone]
+    x = periodic_signal(70, (5, 7), seed=0)
+    observed = truncated_sum(x, retained, bank)
+    first = recover_missing(observed, retained, bank)
+    real_svd, calls = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    second = recover_missing(observed, retained, bank)
+    assert calls == [(d - 5, totient(2)), (d - 5, totient(7))]
+    assert np.array_equal(first, second)
+
+
+def test_shuffled_pairs_recover_the_same_signal():
+    # the recovery reads the retained pairs as a set, each channel's rows
+    # k-ascending: a shuffled list gives the same bits, also on table 1's
+    # rows whose ℓ1 optimum is a face, and the exact instances stay exact
+    rng = np.random.default_rng(7)
+    cases = [(inst.bank, inst.x, list(inst.retained), None, True)
+             for inst in recovery_instances(6, seed=11)]
+    bank70, x70 = uniform_bank(70, 2), periodic_signal(70, (5, 7), seed=0)
+    for spec in table1_rows():
+        missing = {(int(k), int(i)) for k, i in spec["missing"]}
+        retained = [pr for pr in all_pairs(bank70) if pr not in missing]
+        cases += [(bank70, x70, retained, (5, 7), True), (bank70, x70, retained, None, False)]
+    for bank, x, retained, periods, exact in cases:
+        observed = truncated_sum(x, retained, bank)
+        shuffled = [retained[j] for j in rng.permutation(len(retained))]
+        assert np.array_equal(truncated_sum(x, shuffled, bank), observed)
+        if periods is None:
+            want = recover_missing(observed, retained, bank)
+            got = recover_missing(observed, shuffled, bank)
+        else:
+            want = recover_missing_periodic(observed, retained, bank, periods)
+            got = recover_missing_periodic(observed, shuffled, bank, periods)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if exact:
+            assert np.abs(got - x).max() <= 1e-9 * np.abs(x).max()
+    # denoise reads the membership as a set too
+    for inst in denoise_instances(3, seed=2):
+        members = list(inst.membership)
+        shuffled = [members[j] for j in rng.permutation(len(members))]
+        assert np.array_equal(denoise(inst.y, shuffled, inst.bank),
+                              denoise(inst.y, members, inst.bank))

@@ -25,6 +25,7 @@ from rframes import (
     ramanujan_sum,
     recover_missing,
     recover_missing_periodic,
+    robust_to_erasures,
     snr_db,
     totient,
     truncated_sum,
@@ -171,6 +172,18 @@ def test_pair_validation():
         truncated_sum(x, [(0, 0), (0, 0)], bank)
     with pytest.raises(PreconditionError):
         truncated_sum(x, [(0, 0)], uniform_bank(12, 2))  # not tight
+    # not a pair of integers: refused, never truncated or coerced
+    malformed = ([(0.7, 1)], [("3", 1)], [(True, 1)], [(1, True)], [(np.float64(2.0), 1)],
+                 [(1, 2, 3)], [5], [(0,)], [None])
+    for bad in malformed:
+        for call in (lambda: truncated_sum(x, bad, bank),
+                     lambda: recover_missing(x, bad, bank),
+                     lambda: denoise(x, bad, bank),
+                     lambda: robust_to_erasures(1, 12, bad)):
+            with pytest.raises(PreconditionError, match="pair"):
+                call()
+    # numpy integers are integers
+    assert robust_to_erasures(1, 12, [(np.int64(0), np.int32(1))])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
