@@ -11,6 +11,7 @@ a level name (DEBUG, INFO, ...) for progress logging on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -27,6 +28,7 @@ from .filterbank import (
 )
 from .frames import frame_report
 from .io import (
+    check_size,
     frame_report_dict,
     json_dumps,
     read_bank,
@@ -93,7 +95,7 @@ def _parse_periods(text: str) -> tuple[int, ...]:
 
 
 def cmd_rsum(args) -> int:
-    n = args.n if args.n is not None else args.q
+    n = args.n if args.n is not None else check_size(args.q)
     c = ramanujan_sum(args.q, n)
     print(",".join(str(int(v)) for v in c))
     outdir = _outdir(args)
@@ -264,7 +266,9 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="rframes",
         description="Ramanujan-sum filter banks: frames, period detection, "
@@ -330,6 +334,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n", None) is not None:
+            check_size(args.n)
         return args.func(args)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,10 @@ signal CSV   one real per line, no header
 signal JSON  {"n": N, "values": [...]}
 bank JSON    {"n": N, "channels": [{"q": ..., "p": ...}, ...]}
 pairs JSON   {"pairs": [[k, i], ...]}        (0-based shift and channel)
+
+Sizes: a bank file or the CLI's --n may declare at most N = MAX_N; banks
+allocate K×N filters and more at the declared size, so larger N is refused
+before any bank is built.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .errors import PreconditionError
 from .filterbank import Channel, RamanujanFilterBank, _is_int
 
 __all__ = [
+    "MAX_N",
+    "check_size",
     "json_dumps",
     "atomic_write",
     "write_json",
@@ -39,6 +45,16 @@ __all__ = [
     "write_pairs",
     "frame_report_dict",
 ]
+
+
+MAX_N = 32768  # 2**15; admits N = 30030 = 2·3·5·7·11·13
+
+
+def check_size(n):
+    """Return n, or raise PreconditionError if it is an integer above MAX_N."""
+    if _is_int(n) and n > MAX_N:
+        raise PreconditionError(f"N={n} exceeds the size limit N <= {MAX_N}")
+    return n
 
 
 def _fmt_float(x: float) -> str:
@@ -168,7 +184,7 @@ def read_bank(path: str) -> RamanujanFilterBank:
     obj = _load_json(path)
     try:
         channels = tuple(Channel(c["q"], c["p"]) for c in obj["channels"])
-        return RamanujanFilterBank(obj["n"], channels)
+        return RamanujanFilterBank(check_size(obj["n"]), channels)
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"{path}: malformed bank JSON ({exc})") from exc
 

@@ -84,12 +84,7 @@ def subspace_basis(p: int, q: int, N: int) -> RamanujanSubspace:
     _check_stride(p, N)
     if N % q:
         raise PreconditionError(f"q={q} does not divide N={N}")
-    phi = totient(q)
-    rank = _shift_rank(p, q, N)
-    if rank != phi:
-        raise InternalError(
-            f"shift basis of S_({p},{q}) in Z_{N} has rank {rank}, expected φ({q})={phi}"
-        )
+    phi = _spanning_shifts(p, q, N)
     bank = RamanujanFilterBank(N, (Channel(q, p),))
     rows = coefficient_rows(bank, [(k, 0) for k in range(phi)])
     # C order: BLAS products round differently on a transposed view
@@ -110,6 +105,17 @@ def _shift_rank(p: int, q: int, N: int) -> int:
     return residues.size and 1 + int(np.count_nonzero(np.diff(residues)))
 
 
+def _spanning_shifts(p: int, q: int, N: int) -> int:
+    """φ(q), after checking that the p-strided shifts of c_q span all of V_q."""
+    phi = totient(q)
+    rank = _shift_rank(p, q, N)
+    if rank != phi:
+        raise InternalError(
+            f"shift basis of S_({p},{q}) in Z_{N} has rank {rank}, expected φ({q})={phi}"
+        )
+    return phi
+
+
 def orthonormalize(cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns with the span of cols, from one Householder QR.
 
@@ -122,11 +128,6 @@ def orthonormalize(cols: np.ndarray) -> np.ndarray:
     if len(diag) < cols.shape[1] or (np.abs(diag) < 1e-12).any():
         raise InternalError("dependent column during orthonormalization")
     return Q * np.sign(diag)
-
-
-def _projector(p: int, q: int, N: int) -> np.ndarray:
-    Q = orthonormalize(subspace_basis(p, q, N).basis)
-    return Q @ Q.T
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def orthogonal_decomposition_check(p: int, N: int) -> DecompositionCheck:
     owner = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
     max_cross = float(np.abs(B.T @ B)[owner[:, None] != owner].max(initial=0.0))
     total = B.shape[1]
-    acc = sum(_projector(p, q, N) for q in prof.divisors)
+    acc = sum(Q @ Q.T for Q in map(orthonormalize, bases))
     identity_residual = float(np.abs(acc - np.eye(N)).max())
     ok = total == N and max_cross < 1e-9 and identity_residual < 1e-8
     return DecompositionCheck(ok, total, max_cross, identity_residual)
@@ -362,30 +363,39 @@ class FusionFrameReport:
     b_f: float  # max over draws
     parseval: bool
     energies: tuple[float, ...]  # per-subspace ‖P_i x‖² of the first draw
-    op_min: float  # smallest eigenvalue of Σ P_i (exact route)
-    op_max: float
+    op_min: float  # fewest divisor channels owning one DFT bin: λ_min of Σ P_i
+    op_max: float  # most channels owning one bin: λ_max of Σ P_i
 
 
 def fusion_frame_check(p: int, N: int, draws: int = 20, seed: int = 0) -> FusionFrameReport:
     """Check the Parseval identity Σ_q ‖P_{S_{p,q}} x‖² = ‖x‖² on seeded draws.
 
-    Both routes are reported: per-draw energy ratios (a_f, b_f) and the exact
-    eigenvalue range of Σ_q P_q (op_min, op_max); all four are 1 for a
-    Parseval fusion frame.
+    S_{p,q} lies in V_q, the span of the DFT bins q owns, and equals it once
+    the strided shifts have rank φ(q) = dim V_q, which :func:`_shift_rank`
+    checks exactly for every divisor.  Then P_q x keeps x's DFT on q's bins,
+    so ‖P_q x‖² = Σ_{f owned by q} |x̂(f)|²/N from one FFT of the draws.  Both
+    routes are reported: per-draw energy ratios (a_f, b_f) and the exact
+    eigenvalue range of Σ_q P_q (op_min, op_max).  Σ_q P_q is diagonal in the
+    DFT basis, with bin f's entry the number of divisor channels owning f, so
+    the exact route reduces to the min and max of that count.  All four are 1
+    for a Parseval fusion frame.
     """
     _check_stride(p, N)
     if draws < 1:
         raise PreconditionError("need at least one draw")
-    projectors = [_projector(p, q, N) for q in divisors(N).divisors]
-    op_eigs = np.linalg.eigvalsh(sum(projectors))
+    qs = divisors(N).divisors
+    for q in qs:
+        _spanning_shifts(p, q, N)
+    owns = (_bin_channel(np.arange(N), N)[:, None] == np.array(qs)).astype(float)  # bin × channel
+    owners = owns.sum(axis=1)
     X = np.random.default_rng(seed).standard_normal((draws, N))  # row t is draw t
-    energies = np.array([np.sum((X @ P) ** 2, axis=1) for P in projectors])
+    energies = (np.abs(np.fft.fft(X, axis=1)) ** 2 / N @ owns).T  # channel × draw
     ratios = energies.sum(axis=0) / np.sum(X * X, axis=1)
     return FusionFrameReport(
         p=p, n=N, draws=draws, seed=seed, a_f=float(ratios.min()), b_f=float(ratios.max()),
         parseval=bool(np.all(np.abs(ratios - 1.0) <= 1e-9)),
         energies=tuple(energies[:, 0].tolist()),
-        op_min=float(op_eigs[0]), op_max=float(op_eigs[-1]),
+        op_min=float(owners.min()), op_max=float(owners.max()),
     )
 
 

@@ -16,8 +16,10 @@ from rframes import (
     frames,
     uniform_bank,
 )
-from rframes.cli import main
+from rframes.cli import build_parser, main
 from rframes.io import (
+    MAX_N,
+    check_size,
     frame_report_dict,
     json_dumps,
     read_bank,
@@ -402,6 +404,67 @@ def test_cli_io_error_exit_code(tmp_path, capsys):
     rc = main(["period-id", "--signal", missing_file])
     assert rc == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+def _csv_column(path, name):
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(name)
+    return np.array([float(line.split(",")[col]) for line in lines[1:]])
+
+
+def test_parser_is_built_once_and_calls_share_no_values(tmp_path, capsys):
+    from rframes.experiments import periodic_signal
+    from rframes.recovery import GaussianNoiseModel, add_noise
+
+    assert build_parser() is build_parser()
+    first = tmp_path / "D1"
+    assert main(["frame-check", "--n", "30", "--p", "1", "--out", str(first)]) == 0
+    written = {f: (first / f).read_bytes() for f in os.listdir(first)}
+    assert main(["frame-check", "--n", "70", "--p", "2"]) == 0
+    assert {f: (first / f).read_bytes() for f in os.listdir(first)} == written
+    assert json.loads(written["request.json"])["n"] == 30
+    assert capsys.readouterr().out.splitlines()[1].startswith("N=70 p=2: tight")
+
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, periodic_signal(30, (3, 5), seed=1))
+    den = ["denoise", "--signal", sig, "--n", "30", "--p", "1", "--snr-db", "0"]
+    assert main([*den, "--seed", "5", "--out", str(tmp_path / "s5")]) == 0
+    assert main([*den, "--out", str(tmp_path / "s0")]) == 0
+    seeds = [json.loads((tmp_path / d / "request.json").read_text())["seed"] for d in ("s5", "s0")]
+    assert seeds == [5, 0]
+    noisy = [_csv_column(tmp_path / d / "signals.csv", "noisy") for d in ("s5", "s0")]
+    for got, seed in zip(noisy, (5, 0)):
+        want = add_noise(read_signal(sig), GaussianNoiseModel(0.0), seed=seed)
+        assert np.allclose(got, want, rtol=1e-11, atol=1e-11), seed
+
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["frame-check", "--n", "30", "--bogus"])
+        assert exc.value.code == 2
+    assert main(["frame-check", "--n", "6", "--p", "2"]) == 0
+
+
+def test_sizes_above_the_limit_exit_2_before_any_bank_is_built(tmp_path, capsys, monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("an array was built for an oversized N")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rframes":
+            for attr in ("uniform_bank", "RamanujanFilterBank", "ramanujan_sum"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, build)
+    assert MAX_N >= 30030 and check_size(30030) == 30030
+    bankfile = tmp_path / "bank.json"
+    bankfile.write_text(json.dumps({"n": 10**8, "channels": [{"q": 1, "p": 1}]}))
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, np.ones(4))
+    for argv in (["frame-check", "--n", str(10**8), "--p", "1"],
+                 ["frame-check", "--n", str(MAX_N + 1), "--p", "1"],
+                 ["frame-check", "--bank", str(bankfile)],
+                 ["denoise", "--signal", sig, "--n", str(10**8), "--p", "1"],
+                 ["rsum", "--q", str(10**8)]):
+        assert main(argv) == 2, argv
+        assert "size limit" in capsys.readouterr().err, argv
 
 
 def test_atomic_writes_leave_no_temp_files(tmp_path):

@@ -299,6 +299,38 @@ def test_fusion_check_preconditions():
         fusion_frame_check(1, 9, draws=0)
 
 
+def _shift_projector(p, q, N):
+    """Projector onto S_{p,q} from a QR of its shift basis, an oracle for the bin owners."""
+    Q = orthonormalize(subspace_basis(p, q, N).basis)
+    return Q @ Q.T
+
+
+def test_fusion_energies_match_both_projector_oracles():
+    # every N <= 210 at p = 1 and every N = 2·odd <= 210 at p = 2, two seeds each
+    dft = {}  # the DFT-mask projectors of Z_N, shared by both strides
+    cases = [(1, N) for N in range(1, 211)] + [(2, N) for N in range(2, 211, 4)]
+    for p, N in cases:
+        qs = divisors(N).divisors
+        if N not in dft:
+            dft[N] = [dft_subspace_projector(q, N) for q in qs]
+        oracles = dft[N], [_shift_projector(p, q, N) for q in qs]
+        for seed in (3, 4):
+            rep = fusion_frame_check(p, N, draws=3, seed=seed)
+            assert rep.op_min == rep.op_max == 1.0, (p, N)
+            x = np.random.default_rng(seed).standard_normal((3, N))[0]
+            assert len(rep.energies) == len(qs)
+            for P in oracles:
+                want = np.array([np.sum((P_q @ x) ** 2) for P_q in P])
+                err = np.abs(np.array(rep.energies) - want)
+                assert (err <= 1e-12 * want).all(), (p, N, seed, err.max())
+
+
+def test_fusion_check_refuses_shifts_short_of_the_subspace(monkeypatch):
+    monkeypatch.setattr(subspaces, "_shift_rank", lambda p, q, N: totient(q) - (q == N))
+    with pytest.raises(subspaces.InternalError):
+        fusion_frame_check(1, 30)
+
+
 def test_fusion_after_single_local_erasures():
     rep = fusion_after_local_erasures(1, 12, [[0], [3], [5], [1], [2], [11]])
     assert rep.frame_flag
