@@ -301,6 +301,20 @@ def _checked_signal(x, bank: RamanujanFilterBank) -> np.ndarray:
     return x
 
 
+def _blocks(bank: RamanujanFilterBank) -> list[slice]:
+    """Runs of consecutive channels whose half spectra fill at most 128 KiB.
+
+    analyze and synthesize transform one run at a time, so their temporaries
+    stay below glibc malloc's default mmap threshold and are reused from the
+    heap.  K×N temporaries are handed back to the system after each call and
+    faulted in again, page by page, on the next (about 250 faults per call
+    at (2310, 2)), unless an unrelated larger allocation has raised malloc's
+    thresholds (notes/decisions.md, entry 11).
+    """
+    rows = max(1, (1 << 17) // (16 * (bank.n // 2 + 1)))
+    return [slice(s, s + rows) for s in range(0, len(bank.channels), rows)]
+
+
 def _spectrum(x, bank: RamanujanFilterBank) -> tuple[np.ndarray, np.ndarray]:
     """One FFT of x and the bank's channel masks: x ∗ c_{q_i} = N·IDFT(X·mask_i)."""
     return np.fft.rfft(_checked_signal(x, bank)), _masks(bank)
@@ -319,7 +333,10 @@ def analyze(x, bank: RamanujanFilterBank) -> list[np.ndarray]:
         One length-(N/p_i) coefficient array per channel.
     """
     X, masks = _spectrum(x, bank)
-    full = bank.n * np.fft.irfft(X * masks, n=bank.n, axis=1)
+    full = np.empty((len(bank.channels), bank.n))
+    for b in _blocks(bank):
+        full[b] = np.fft.irfft(X * masks[b], n=bank.n, axis=1)
+    full *= bank.n
     return [full[i, :: ch.p].copy() for i, ch in enumerate(bank.channels)]
 
 
@@ -357,8 +374,12 @@ def synthesize(coeffs, bank: RamanujanFilterBank) -> np.ndarray:
             raise PreconditionError(f"channel {i}: expected {d} coefficients, got shape {y.shape}")
         Y[i] = y
     # DFT_N of the upsampled y_i is DFT_d(y_i) repeated p times: index f mod d
-    f = np.arange(N // 2 + 1)
-    spectrum = (_masks(bank) * np.fft.fft(Y, axis=1)[:, f % d]).sum(axis=0)
+    chan, f = np.nonzero(_masks(bank))  # channel-major: a bin adds its channels in order
+    spectrum = np.zeros(N // 2 + 1, dtype=complex)
+    for b in _blocks(bank):
+        lo, hi = np.searchsorted(chan, (b.start, b.stop))
+        F = np.fft.fft(Y[b], axis=1)
+        np.add.at(spectrum, f[lo:hi], F[chan[lo:hi] - b.start, f[lo:hi] % d])
     return N * np.fft.irfft(spectrum, n=N) / A
 
 

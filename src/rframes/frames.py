@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalError, PreconditionError
+from .errors import PreconditionError
 from .filterbank import RamanujanFilterBank
-from .numtheory import _bin_channel, divisors
+from .numtheory import _bin_owners, divisors
 
 __all__ = [
     "zak",
@@ -73,34 +73,15 @@ def polyphase_matrix(bank: RamanujanFilterBank, m: int) -> np.ndarray:
     full column rank p for every m, and the frame bounds are the extreme
     eigenvalues of U*(m)U(m) over m.
     """
-    stack = _polyphase_stack(bank)
-    d = stack.shape[0]
-    if not 0 <= m < d:
-        raise PreconditionError(f"frequency index m={m} outside Z_{d}")
-    return stack[m]
-
-
-def _polyphase_stack(bank: RamanujanFilterBank) -> np.ndarray:
-    """All U(m) at once: a (d, K, p) complex array.
-
-    U(m)[i, n] = Σ_ℓ c_{q_i}(pℓ + n) e^{2πimℓ/d} is the conjugate of the DFT
-    along ℓ of the real d×p array c_{q_i}(pℓ + n), one FFT for the bank.
-    """
     if not bank.uniform:
         raise PreconditionError("polyphase analysis requires a uniform bank")
     p = bank.ratio
     d = bank.n // p
+    if not 0 <= m < d:
+        raise PreconditionError(f"frequency index m={m} outside Z_{d}")
+    # the conjugate of the DFT along ℓ of the real d×p arrays c_{q_i}(pℓ + n)
     C = bank.filter_matrix.reshape(-1, d, p)  # (K, d, p)
-    return np.fft.fft(C, axis=1).conj().transpose(1, 0, 2)
-
-
-def _bin_owners(N: int, p: int) -> np.ndarray:
-    """d×p table, d = N/p: entry (m, j) is the channel that owns DFT bin −m + jd.
-
-    Row m lists the bins that U(m) and row m of a Zak image see.
-    """
-    d = N // p
-    return _bin_channel((np.arange(p) * d - np.arange(d)[:, None]) % N, N)
+    return np.fft.fft(C, axis=1)[:, m, :].conj()
 
 
 @dataclass(frozen=True)
@@ -109,8 +90,9 @@ class FrameReport:
 
     A (resp. B) is the minimum (maximum) over m of the smallest (largest)
     eigenvalue of U*(m)U(m); the bank is a frame iff every U(m) has rank p,
-    and tight iff additionally A = B (relative 1e−9).  Every report agrees
-    with the bank's exact rule, :attr:`RamanujanFilterBank.frame_bounds`.
+    and tight iff additionally A = B.  The eigenvalues are integers counted
+    from the bin owners, so the comparison is exact and a frame's A and B
+    equal :attr:`RamanujanFilterBank.frame_bounds`.
     """
 
     n: int
@@ -139,46 +121,40 @@ def frame_operator(bank: RamanujanFilterBank) -> np.ndarray:
 
 
 def frame_report(bank: RamanujanFilterBank) -> FrameReport:
-    """Compute frame bounds/ranks of a uniform bank from its polyphase matrices.
+    """Frame bounds and ranks of a uniform bank, counted exactly over the bin owners.
 
-    The result is audited against the bank's exact rule
-    (:attr:`RamanujanFilterBank.frame_bounds`): is_frame, tight, and A and B
-    to 1e−9·B.
+    Row m of :func:`~rframes.numtheory._bin_owners` lists the owners of the p
+    bins −m + jd that U(m) sees.  An owner q on t_q of them, with m_q
+    channels, gives U(m)ᴴU(m) the eigenvalue N·d·m_q·t_q and t_q − 1 zeros
+    (t_q zeros when m_q = 0), so rank U(m) is the number of the row's owners
+    that have a channel (notes/decisions.md, entries 6 and 7).  No filter is
+    built and no eigenproblem is solved.
 
     Raises
     ------
     PreconditionError
         Non-uniform bank.
-    InternalError
-        The report disagrees with the exact rule (should never happen).
     """
-    stack = _polyphase_stack(bank)
-    d, _, p = stack.shape
-    eigs = np.linalg.eigvalsh(stack.conj().transpose(0, 2, 1) @ stack)  # ascending, (d, p)
-    # U(m)[i, n] = d·Σ_j mask_i(f_j)·e^{2πi f_j n/N} over the bins f_j = −m + jd,
-    # j < p: a 0/1 bin-ownership matrix times an invertible Vandermonde, so
-    # rank U(m) is the number of the bank's channels among those p bins.
-    qs = set(bank.qs)
-    ranks = tuple(len(qs.intersection(row)) for row in _bin_owners(bank.n, p).tolist())
+    if not bank.uniform:
+        raise PreconditionError("polyphase analysis requires a uniform bank")
+    N, p = bank.n, bank.ratio
+    d = N // p
+    owners = np.sort(_bin_owners(N, p), axis=1)  # each owner's t_q bins in one run
+    first = np.ones((d, p), dtype=bool)
+    first[:, 1:] = owners[:, 1:] != owners[:, :-1]
+    starts = np.flatnonzero(first)  # every row starts a run
+    runs = np.diff(starts, append=d * p)  # t_q
+    channels = np.bincount(bank.qs, minlength=N + 1)  # m_q
+    eigs = np.zeros(d * p, dtype=np.int64)
+    eigs[starts] = N * d * channels[owners.flat[starts]] * runs
+    eigs = np.sort(eigs.reshape(d, p), axis=1)  # ascending, (d, p)
+    ranks = tuple((eigs > 0).sum(axis=1).tolist())
     is_frame = all(r == p for r in ranks)
     A = float(eigs[:, 0].min())
     B = float(eigs[:, -1].max())
-    tight = bool(is_frame and B > 0 and (B - A) <= 1e-9 * B)
-    rule = bank.frame_bounds
-    if rule is None:
-        agree = not is_frame
-    else:
-        lo, hi = rule
-        agree = (is_frame and tight == (lo == hi)
-                 and abs(A - lo) <= 1e-9 * hi and abs(B - hi) <= 1e-9 * hi)
-    if not agree:
-        raise InternalError(
-            f"polyphase bounds ({A:.6g}, {B:.6g}, frame={is_frame}, tight={tight}) "
-            f"disagree with the exact rule {rule}"
-        )
     return FrameReport(
-        n=bank.n, p=p, A=A, B=B, tight=tight, is_frame=is_frame,
-        ranks=ranks, per_m_eigs=tuple(map(tuple, eigs.tolist())),
+        n=N, p=p, A=A, B=B, tight=is_frame and A == B, is_frame=is_frame,
+        ranks=ranks, per_m_eigs=tuple(map(tuple, eigs.astype(float).tolist())),
     )
 
 

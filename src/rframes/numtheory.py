@@ -183,6 +183,15 @@ def _bin_channel(f, N: int):
     return N // np.gcd(f, N)
 
 
+def _bin_owners(N: int, p: int) -> np.ndarray:
+    """d×p table, d = N/p: entry (m, j) is the channel that owns DFT bin −m + jd.
+
+    Row m lists the bins that U(m) and row m of a Zak image see.
+    """
+    d = N // p
+    return _bin_channel((np.arange(p) * d - np.arange(d)[:, None]) % N, N)
+
+
 def circular_shift(x, m: int) -> np.ndarray:
     """(L_m x)(n) = x(n − m mod N); m may be any integer."""
     return np.roll(np.asarray(x), m)

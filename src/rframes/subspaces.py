@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .filterbank import Channel, RamanujanFilterBank, _checked_pairs, coefficient_rows, uniform_bank
-from .frames import _bin_owners
-from .numtheory import _bin_channel, _factorize, divisors, totient
+from .numtheory import _bin_channel, _bin_owners, _factorize, divisors, totient
 
 __all__ = [
     "RamanujanSubspace",

@@ -339,7 +339,7 @@ def test_criterion_09_uncertainty_inequalities():
     sweep_ok = violations == 0
 
     # the N=38, p=2 constants, rebuilt without uncertainty_report: the frame
-    # bound A from the Zak/polyphase route (criterion 2 pins it to 2d²) and
+    # bound A from frame_report (criterion 2 pins it to 2d²) and
     # the filter peak β_o from the trigonometric sums; s_x·b_x ≥ A/β_o² and
     # s_x + b_x ≥ 2√A/β_o (derivation in notes/decisions.md)
     bank38 = uniform_bank(38, 2)

@@ -22,7 +22,6 @@ from rframes import (
     frame_report,
     recover_missing,
     recover_missing_periodic,
-    solve_l1_lp,
     totient,
     truncated_sum,
     uniform_bank,
@@ -37,6 +36,7 @@ from rframes.experiments import (
 )
 from rframes.io import write_pairs, write_signal
 from rframes.recovery import _channel_systems, _null_directions, _pair_mask, coefficient_rows
+from rframes.simplex import solve_l1_lp
 
 
 def _drop(bank, fraction, draw):

@@ -85,7 +85,7 @@ def test_coefficient_rows_use_each_channel_ratio():
 
 
 def test_bank_report_is_derived_once(monkeypatch):
-    # every tight path reads the bank's cached bounds: no Zak/polyphase report
+    # every tight path reads the bank's cached bounds: no frame_report
     calls = []
     real = frames.frame_report
 

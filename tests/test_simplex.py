@@ -11,15 +11,13 @@ from rframes import (
     PreconditionError,
     SolverError,
     all_pairs,
-    l1_fit,
     lad_fit,
     simplex_solve,
-    solve_l1_lp,
     uniform_bank,
 )
 from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows, table2_rows
 from rframes.recovery import coefficient_rows
-from rframes.simplex import lad_fit_unique
+from rframes.simplex import l1_fit, lad_fit_unique, solve_l1_lp
 
 
 def test_textbook_example():

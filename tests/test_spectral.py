@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+import rframes.filterbank as filterbank
 from conftest import dft_channel_mask, trig_ramanujan
 from rframes import (
     Channel,
@@ -93,6 +94,24 @@ def test_layers_match_direct_route_for_every_n_up_to_420():
         planted = sum(np.roll(filters[qs.index(q)], int(rng.integers(N))) for q in picks)
         direct = np.sum((circ @ planted) ** 2, axis=1)
         assert identify_period(planted) == _direct_period(direct, qs) == math.lcm(*picks), N
+
+
+def test_layers_match_direct_route_across_channel_runs():
+    # a doubled divisor bank at (1050, 2): analyze and synthesize take its
+    # channels in several runs, and every bin has two channels to add up
+    N, p = 1050, 2
+    filters = _filters(N) * 2
+    bank = RamanujanFilterBank(N, tuple(Channel(q, p) for q in divisors(N).divisors * 2))
+    assert len(filterbank._blocks(bank)) > 1
+    rng = np.random.default_rng(1050)
+    x = rng.standard_normal(N)
+    full = np.array([circular_convolution(x, c) for c in filters])
+    assert _close(analyze(x, bank), full[:, ::p], np.abs(full).max())
+    y = rng.standard_normal((len(filters), N // p))
+    up = np.zeros((len(filters), N))
+    up[:, ::p] = y
+    want = sum(circular_convolution(u, c) for u, c in zip(up, filters)) / bank.tight_bound()
+    assert _close(synthesize(y, bank), want, np.abs(want).max())
 
 
 def test_frame_report_matches_direct_polyphase_stack():

@@ -1,11 +1,13 @@
 """Zak transform, polyphase matrices, and frame classification."""
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from rframes import (
     Channel,
-    InternalError,
     PreconditionError,
     RamanujanFilterBank,
     classify_theorem_case,
@@ -181,18 +183,36 @@ def _rule_banks():
                 yield RamanujanFilterBank(N, tuple(Channel(int(q), p) for q in multiset))
 
 
+def _polyphase_stack(bank):
+    """Every U(m) of a uniform bank from the integer Ramanujan sums: (d, K, p) complex."""
+    N, p = bank.n, bank.ratio
+    C = np.array([ramanujan_sum(q, N) for q in bank.qs], dtype=float).reshape(-1, N // p, p)
+    return np.fft.fft(C, axis=1).conj().transpose(1, 0, 2)
+
+
 def test_frame_bounds_rule_matches_polyphase_reports():
+    # the rule and the report are both counts over the bin owners; the oracle
+    # is an eigen solve of the polyphase Grams, which counts nothing
     banks = frames_seen = tight_seen = 0
     for bank in _rule_banks():
+        U = _polyphase_stack(bank)
+        eigs = np.linalg.eigvalsh(U.conj().transpose(0, 2, 1) @ U)  # ascending, (d, p)
+        lo, hi = float(eigs[:, 0].min()), float(eigs[:, -1].max())
+        tol = 1e-9 * hi
+        frame, tight = lo > tol, lo > tol and hi - lo <= tol
         rep = frame_report(bank)
         bounds = bank.frame_bounds
-        assert (bounds is not None) == rep.is_frame, (bank.n, bank.ratio, bank.qs)
+        key = (bank.n, bank.ratio, bank.qs)
+        assert (bounds is not None) == frame == rep.is_frame, key
+        assert rep.tight == tight, key
+        assert abs(rep.A - lo) <= tol and abs(rep.B - hi) <= tol, key
+        assert np.abs(np.array(rep.per_m_eigs) - eigs).max() <= tol, key
         banks += 1
         if bounds is None:
             continue
         A, B = bounds
-        assert (A == B) == rep.tight, (bank.n, bank.ratio, bank.qs)
-        assert abs(A - rep.A) <= 1e-9 * B and abs(B - rep.B) <= 1e-9 * B, (bank.n, bank.qs)
+        assert (A == B) == tight, key
+        assert abs(A - lo) <= 1e-9 * B and abs(B - hi) <= 1e-9 * B, key
         frames_seen += 1
         tight_seen += A == B
     assert banks == 1566
@@ -201,24 +221,39 @@ def test_frame_bounds_rule_matches_polyphase_reports():
         RamanujanFilterBank(6, (Channel(1, 1), Channel(1, 2))).frame_bounds  # mixed at q = 1
 
 
-def test_frame_report_audits_itself_against_the_rule():
-    # a fresh bank object each time: uniform_bank's banks are shared
-    def bank_with(N, p, bounds):
-        bank = RamanujanFilterBank(N, tuple(Channel(q, p) for q in divisors(N).divisors))
-        bank.__dict__["frame_bounds"] = bounds  # overrides the cached property
-        return bank
+def _owner_count_eigs(bank):
+    """U(m)ᴴU(m)'s eigenvalues row by row: N·d·m_q·t_q and t_q − 1 zeros per owner q."""
+    N, p = bank.n, bank.ratio
+    d = N // p
+    rows = []
+    for m in range(d):
+        owners = Counter(N // math.gcd((j * d - m) % N, N) for j in range(p))
+        row = []
+        for q, t in owners.items():
+            m_q = bank.qs.count(q)
+            row += [N * d * m_q * t] + [0] * (t - 1) if m_q else [0] * t
+        rows.append(tuple(float(e) for e in sorted(row)))
+    return tuple(rows)
 
-    assert frame_report(bank_with(30, 1, (900, 900))).tight
-    assert not frame_report(bank_with(12, 2, None)).is_frame
-    for N, p, wrong in (
-        (30, 1, (900, 901)),  # B off by more than 1e-9·B, and not tight
-        (30, 1, (899, 899)),  # A and B both off
-        (30, 1, (450, 900)),  # a frame, but not tight
-        (30, 1, None),  # not a frame
-        (12, 2, (72, 72)),  # a frame, where the polyphase ranks say not
-    ):
-        with pytest.raises(InternalError):
-            frame_report(bank_with(N, p, wrong))
+
+def test_frame_report_counts_owners_without_filters_or_eigen_solves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("frame_report called a numpy.linalg routine")
+
+    for name in ("eigvalsh", "eigh", "eig", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    cases = [(N, p, reps) for N in range(1, 61) for p in divisors(N).divisors for reps in (1, 2)]
+    for N, p, reps in cases + [(2310, 2310, 1)]:
+        # a fresh bank: uniform_bank's banks are shared and may hold a filter matrix
+        bank = RamanujanFilterBank(N, tuple(Channel(q, p) for q in divisors(N).divisors * reps))
+        rep = frame_report(bank)
+        assert "filter_matrix" not in bank.__dict__, (N, p, reps)
+        want = _owner_count_eigs(bank)
+        assert rep.per_m_eigs == want, (N, p, reps)
+        assert rep.ranks == tuple(sum(e > 0 for e in row) for row in want), (N, p, reps)
+        assert rep.A == min(row[0] for row in want) and rep.B == max(row[-1] for row in want)
+        assert rep.is_frame == all(r == p for r in rep.ranks), (N, p, reps)
+        assert rep.tight == (rep.is_frame and rep.A == rep.B), (N, p, reps)
 
 
 def test_tight_bound_is_exact():
