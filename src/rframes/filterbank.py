@@ -6,9 +6,10 @@ are the ones with polyphase/frame diagnostics; non-uniform banks arise from
 the rank-repair construction in :mod:`rframes.subspaces`.
 
 A bank owns its linear operator: the filter matrix, the exact frame bounds,
-counted over the bin owners q(f) = N/gcd(f, N), and a uniform bank's channel
-geometry in real Fourier coordinates are derived once per bank object, and
-:func:`coefficient_rows` is the one builder of shifted filters.
+counted over the bin owners q(f) = N/gcd(f, N), the bin map that every
+spectral layer reads, and a uniform bank's channel geometry in real Fourier
+coordinates are derived once per bank object, and :func:`coefficient_rows`
+is the one builder of shifted filters.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import PreconditionError
 from .numtheory import _bin_channel, divisors, ramanujan_sum
 
 __all__ = [
+    "BinMap",
     "Channel",
     "ChannelGeometry",
     "RamanujanFilterBank",
@@ -65,6 +67,39 @@ class ChannelGeometry:
     rows: np.ndarray  # d × φ(q)
     sv: np.ndarray
     vt: np.ndarray
+
+
+@dataclass(frozen=True)
+class BinMap:
+    """Every (channel, owned bin) pair of a bank on the half spectrum, with its fold.
+
+    Entry e says that channel i = ``channel[e]`` owns bin f = ``bins[e]`` of
+    ``numpy.fft.rfft``: N/gcd(f, N) = q_i.  Keeping every p_i-th output
+    aliases f onto a = f mod d_i, d_i = N/p_i.  On the half spectrum of
+    length d_i//2 + 1 that lands on g = a, or on g = d_i − a with the value
+    conjugated where 2a > d_i.  Row e of ``slots`` holds the offsets of
+    Re and Im of g in its run's buffer of floats, 2·(row·(d_i//2 + 1) + g) + (0, 1).
+
+    Row e of ``fold`` weighs (Re X(f), Im X(f)) into analysis: (1, ±1), −1
+    where conjugated.  At g = 0 or d_i/2 the mirror bin N − f lands on g too,
+    so there the weights are (2, 0), and (1, 0) for f = 0 or N/2, which is
+    its own mirror.  Row e of ``unfold`` weighs Re and Im of DFT_{d_i}(y_i)(g)
+    into synthesis: (1, ±1).
+
+    ``runs`` lists (d, channels, entries): channels with one d, in bank order,
+    cut so that a run's half spectra of d//2 + 1 complex bins fill at most
+    64 KiB, and the slice of their entries.  A run's d coefficients per
+    channel take about as much again, so the two blocks that synthesis holds
+    at once stay below glibc malloc's 128 KiB mmap threshold
+    (notes/decisions.md, entries 11 and 12).  Read-only.
+    """
+
+    channel: np.ndarray
+    bins: np.ndarray
+    slots: np.ndarray  # E × 2
+    fold: np.ndarray  # E × 2
+    unfold: np.ndarray  # E × 2
+    runs: tuple[tuple[int, tuple[int, ...], slice], ...]
 
 
 @dataclass(frozen=True)
@@ -148,6 +183,47 @@ class RamanujanFilterBank:
             return None  # two of a channel's bins share a residue: it misses part of V_q
         weights = N * N * np.bincount(qs)[qs] // ps  # N²·m_q/p at each channel's q
         return int(weights.min()), int(weights.max())
+
+    @cached_property
+    def bin_map(self) -> BinMap:
+        """The :class:`BinMap` that analysis, synthesis and channel energies read.
+
+        Built once per bank: one gcd and one sort over the N//2 + 1 bins, then a
+        few array passes per run.  A divisor bank has N//2 + 1 entries.
+        """
+        N = self.n
+        half = np.arange(N // 2 + 1)
+        owner = _bin_channel(half, N)
+        order = np.argsort(owner, kind="stable")  # each q's bins in one ascending segment
+        cuts = np.flatnonzero(np.diff(owner[order])) + 1
+        owned = dict(zip(owner[order[np.r_[0, cuts]]].tolist(), np.split(order, cuts)))
+        d_of = [N // ch.p for ch in self.channels]
+        runs, parts, start = [], [], 0
+        for d in sorted(set(d_of)):
+            h = d // 2 + 1
+            group = [i for i, di in enumerate(d_of) if di == d]
+            rows = max(1, (1 << 16) // (16 * h))  # entries 11 and 12
+            for s in range(0, len(group), rows):
+                chans = tuple(group[s : s + rows])
+                segs = [owned[self.channels[i].q] for i in chans]
+                sizes = [seg.size for seg in segs]
+                f = np.concatenate(segs)
+                a = f % d
+                conj = 2 * a > d
+                g = np.where(conj, d - a, a)
+                edge = 2 * g % d == 0  # g = 0 or d/2, where a real signal's DFT is real
+                sign = np.where(conj, -1.0, 1.0)
+                slots = 2 * (np.repeat(np.arange(len(chans)), sizes) * h + g)[:, None] + (0, 1)
+                mirrored = edge & (f != 0) & (2 * f != N)
+                fold = np.stack([1.0 + mirrored, np.where(edge, 0.0, sign)], 1)
+                unfold = np.stack([np.ones_like(sign), sign], 1)
+                parts.append((np.repeat(chans, sizes), f, slots, fold, unfold))
+                runs.append((d, chans, slice(start, start + f.size)))
+                start += f.size
+        arrays = [np.concatenate(col) for col in zip(*parts)]
+        for arr in arrays:
+            arr.flags.writeable = False  # banks are shared: see uniform_bank
+        return BinMap(*arrays, tuple(runs))
 
     @cached_property
     def channel_geometry(self) -> tuple[ChannelGeometry, ...]:
@@ -273,16 +349,25 @@ def coefficient_rows(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     return bank.filter_matrix[i[:, None], (np.arange(bank.n) - shift[:, None]) % bank.n]
 
 
-def _masks(bank: RamanujanFilterBank) -> np.ndarray:
-    """K×(N//2+1) boolean channel masks over the half spectrum.
+def _real_vector(v, what: str) -> np.ndarray:
+    """v as an array of real numbers with one dimension, not yet checked to be finite.
 
-    The DFT of c_q is N on the bins f with N / gcd(f, N) = q and 0 elsewhere,
-    so bin f belongs to channel i iff q_i = N / gcd(f, N).  The masks are
-    symmetric under f → N − f and every signal here is real, so the half
-    spectrum of ``numpy.fft.rfft`` carries everything.
+    Raises
+    ------
+    PreconditionError
+        If v is complex, non-numeric, ragged or not one-dimensional.  Every
+        signal here is real, so an imaginary part is refused, not dropped.
     """
-    f = np.arange(bank.n // 2 + 1)
-    return _bin_channel(f, bank.n)[None, :] == np.array(bank.qs)[:, None]
+    try:
+        a = np.asarray(v)
+    except ValueError:  # ragged nesting
+        raise PreconditionError(f"{what} is not a numeric vector") from None
+    if a.dtype.kind not in "biuf":
+        kind = "complex" if a.dtype.kind == "c" else "non-numeric"
+        raise PreconditionError(f"{what} holds {kind} values; only real values are accepted")
+    if a.ndim != 1:
+        raise PreconditionError(f"{what} of shape {a.shape} is not a vector")
+    return a
 
 
 def _checked_signal(x, bank: RamanujanFilterBank) -> np.ndarray:
@@ -291,53 +376,45 @@ def _checked_signal(x, bank: RamanujanFilterBank) -> np.ndarray:
     Raises
     ------
     PreconditionError
-        If x is not a length-N vector or holds NaN or inf.
+        If x is not a real length-N vector or holds NaN or inf.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (bank.n,):
+    x = _real_vector(x, "signal").astype(float, copy=False)
+    if x.size != bank.n:
         raise PreconditionError(f"signal of shape {x.shape} does not match bank N {bank.n}")
     if not np.isfinite(x).all():
         raise PreconditionError("signal holds NaN or inf values")
     return x
 
 
-def _blocks(bank: RamanujanFilterBank) -> list[slice]:
-    """Runs of consecutive channels whose half spectra fill at most 128 KiB.
-
-    analyze and synthesize transform one run at a time, so their temporaries
-    stay below glibc malloc's default mmap threshold and are reused from the
-    heap.  K×N temporaries are handed back to the system after each call and
-    faulted in again, page by page, on the next (about 250 faults per call
-    at (2310, 2)), unless an unrelated larger allocation has raised malloc's
-    thresholds (notes/decisions.md, entry 11).
-    """
-    rows = max(1, (1 << 17) // (16 * (bank.n // 2 + 1)))
-    return [slice(s, s + rows) for s in range(0, len(bank.channels), rows)]
-
-
-def _spectrum(x, bank: RamanujanFilterBank) -> tuple[np.ndarray, np.ndarray]:
-    """One FFT of x and the bank's channel masks: x ∗ c_{q_i} = N·IDFT(X·mask_i)."""
-    return np.fft.rfft(_checked_signal(x, bank)), _masks(bank)
-
-
 def analyze(x, bank: RamanujanFilterBank) -> list[np.ndarray]:
     """Analysis coefficients y_i(k) = ⟨x, L_{p_i k} c_{q_i}⟩ for every channel.
 
     Equal to the decimated convolution (x ∗ c_{q_i})(p_i k) because Ramanujan
-    sums are even, so the matched filter equals the filter itself.  The
-    convolutions are N·IDFT(X·mask_i), one FFT of x for the whole bank.
+    sums are even, so the matched filter equals the filter itself.  Keeping
+    every p_i-th sample aliases the spectrum mod d_i = N/p_i, so
+    y_i = d_i·IDFT_{d_i}(F_i), F_i(g) = Σ X(f) over the bins f that q_i owns
+    with f ≡ g (mod d_i): one FFT of x, one fold per run of channels and
+    inverse FFTs of length d_i (notes/decisions.md, entry 12).
 
     Returns
     -------
     list of numpy.ndarray
-        One length-(N/p_i) coefficient array per channel.
+        One length-(N/p_i) coefficient array per channel, each a row of its
+        run's output.
     """
-    X, masks = _spectrum(x, bank)
-    full = np.empty((len(bank.channels), bank.n))
-    for b in _blocks(bank):
-        full[b] = np.fft.irfft(X * masks[b], n=bank.n, axis=1)
-    full *= bank.n
-    return [full[i, :: ch.p].copy() for i, ch in enumerate(bank.channels)]
+    X = np.fft.rfft(_checked_signal(x, bank)).view(float).reshape(-1, 2)  # (Re, Im) per bin
+    m = bank.bin_map
+    out: list = [None] * len(bank.channels)
+    for d, chans, e in m.runs:
+        h = d // 2 + 1
+        F = np.bincount(m.slots[e].ravel(), (X[m.bins[e]] * m.fold[e]).ravel(),
+                        minlength=2 * h * len(chans))
+        y = np.fft.irfft(F.view(complex).reshape(len(chans), h), n=d, axis=1)
+        y *= d
+        del F  # before the next run's fold is taken
+        for row, i in enumerate(chans):
+            out[i] = y[row]
+    return out
 
 
 def synthesize(coeffs, bank: RamanujanFilterBank) -> np.ndarray:
@@ -345,8 +422,9 @@ def synthesize(coeffs, bank: RamanujanFilterBank) -> np.ndarray:
 
     Valid only for tight banks (synthesis filters equal analysis filters up to
     the 1/A scaling exactly when the frame is tight).  In the DFT domain the
-    kept shifts of channel i contribute N·mask_i·tile(DFT_d(y_i), p), so the
-    whole sum is one inverse FFT.
+    kept shifts of channel i contribute N·R_i(f mod d) on the bins q_i owns,
+    R_i = DFT_d(y_i), so one real FFT per run of channels, one gather and one
+    inverse FFT give the whole sum (notes/decisions.md, entry 12).
 
     Parameters
     ----------
@@ -358,7 +436,8 @@ def synthesize(coeffs, bank: RamanujanFilterBank) -> np.ndarray:
     Raises
     ------
     PreconditionError
-        If the bank is not uniform+tight, or coeffs do not match its shape.
+        If the bank is not uniform+tight, or coeffs do not match its shape,
+        or a coefficient is complex, non-numeric, NaN or inf.
     """
     A = bank.tight_bound()
     if len(coeffs) != len(bank.channels):
@@ -366,33 +445,41 @@ def synthesize(coeffs, bank: RamanujanFilterBank) -> np.ndarray:
             f"expected {len(bank.channels)} coefficient arrays, got {len(coeffs)}"
         )
     N = bank.n
-    d = N // bank.ratio
-    Y = np.empty((len(bank.channels), d))
-    for i, y in enumerate(coeffs):
-        y = np.asarray(y, dtype=float)
-        if y.shape != (d,):
-            raise PreconditionError(f"channel {i}: expected {d} coefficients, got shape {y.shape}")
-        Y[i] = y
-    # DFT_N of the upsampled y_i is DFT_d(y_i) repeated p times: index f mod d
-    chan, f = np.nonzero(_masks(bank))  # channel-major: a bin adds its channels in order
-    spectrum = np.zeros(N // 2 + 1, dtype=complex)
-    for b in _blocks(bank):
-        lo, hi = np.searchsorted(chan, (b.start, b.stop))
-        F = np.fft.fft(Y[b], axis=1)
-        np.add.at(spectrum, f[lo:hi], F[chan[lo:hi] - b.start, f[lo:hi] % d])
-    return N * np.fft.irfft(spectrum, n=N) / A
+    m = bank.bin_map
+    vals = np.empty((2, m.bins.size))  # Re and Im of each entry's R_i(f mod d), conjugated
+    for d, chans, e in m.runs:
+        Y = np.empty((len(chans), d))
+        for row, i in enumerate(chans):
+            y = _real_vector(coeffs[i], f"channel {i} coefficients")
+            if y.shape != (d,):
+                raise PreconditionError(
+                    f"channel {i}: expected {d} coefficients, got shape {y.shape}"
+                )
+            Y[row] = y
+        if not np.isfinite(Y).all():
+            raise PreconditionError("coefficients hold NaN or inf values")
+        R = np.fft.rfft(Y, axis=1).view(float).ravel()
+        vals[:, e] = (R[m.slots[e]] * m.unfold[e]).T
+        del Y, R  # before the next run's buffers are taken
+    spectrum = np.empty(N // 2 + 1, dtype=complex)
+    spectrum.real = np.bincount(m.bins, vals[0], minlength=N // 2 + 1)
+    spectrum.imag = np.bincount(m.bins, vals[1], minlength=N // 2 + 1)
+    x = np.fft.irfft(spectrum, n=N)
+    x *= N / A
+    return x
 
 
 def channel_energies(x, bank: RamanujanFilterBank) -> np.ndarray:
     """Full (undecimated) channel output energies E_i = ‖x ∗ c_{q_i}‖².
 
-    By Parseval E_i = N·Σ_{f ∈ mask_i} |X(f)|² over the full spectrum; the
+    By Parseval E_i = N·Σ |X(f)|² over the full-spectrum bins q_i owns; the
     half spectrum counts every bin other than 0 and N/2 twice.
     """
-    X, masks = _spectrum(x, bank)
+    X = np.fft.rfft(_checked_signal(x, bank))
     power = np.abs(X) ** 2
     power[1 : (bank.n + 1) // 2] *= 2.0
-    return bank.n * (masks @ power)
+    m = bank.bin_map
+    return bank.n * np.bincount(m.channel, power[m.bins], minlength=len(bank.channels))
 
 
 def identify_period(x, N: int | None = None, zero_tol: float = 1e-8) -> int:
@@ -414,7 +501,7 @@ def identify_period(x, N: int | None = None, zero_tol: float = 1e-8) -> int:
 
 def _period_scan(x, N: int | None, zero_tol: float) -> tuple[int, tuple[int, ...], np.ndarray]:
     """:func:`identify_period`'s work: the period, the responding q's and every channel energy."""
-    x = np.asarray(x, dtype=float)
+    x = _real_vector(x, "signal")  # channel_energies checks the values
     if N is None:
         N = len(x)
     elif N != len(x):

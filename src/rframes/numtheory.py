@@ -200,9 +200,8 @@ def circular_shift(x, m: int) -> np.ndarray:
 def circular_convolution(x, h) -> np.ndarray:
     """Circular convolution on Z_N, (x ∗ h)(n) = Σ_m x(m) h(n − m).
 
-    Computed by the direct O(N²) sum.  The filter banks go through the DFT
-    channel masks instead; this routine is the O(N²) oracle they are tested
-    against.
+    Computed by the direct O(N²) sum.  The filter banks go through their bin
+    map instead; this routine is the O(N²) oracle they are tested against.
     """
     x = np.asarray(x)
     h = np.asarray(h)

@@ -90,7 +90,7 @@ def uncertainty_report(
     x, bank: RamanujanFilterBank, tol: float = 1e-8
 ) -> UncertaintyReport:
     """Count coefficient/sample supports of x and check the uncertainty bounds."""
-    x = np.asarray(x, dtype=float)
+    x = _checked_signal(x, bank)
     A = bank.tight_bound()
     if not np.any(x):
         raise PreconditionError("uncertainty counts need a nonzero signal")
@@ -410,7 +410,7 @@ def detect_support_set(
     from the filters' wildly different gains.  All d shifts of each retained
     channel enter the membership set.
     """
-    y = np.asarray(y, dtype=float)
+    y = _checked_signal(y, bank)
     if not 0.0 < threshold_factor < 1.0:
         raise PreconditionError(
             f"threshold_factor must lie in (0, 1), got {threshold_factor}"

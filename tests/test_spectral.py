@@ -1,4 +1,4 @@
-"""The DFT-mask route of the bank layers against the direct O(N²) route.
+"""The bin-map route of the bank layers against the direct O(N²) route.
 
 The direct route is written here from the trigonometric Ramanujan sums:
 ``circular_convolution`` for analysis, the circulant matrices of the filters
@@ -9,11 +9,11 @@ polyphase components for U(m).  The library never takes it.
 import functools
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import rframes.filterbank as filterbank
 from conftest import dft_channel_mask, trig_ramanujan
 from rframes import (
     Channel,
@@ -28,6 +28,7 @@ from rframes import (
     synthesize,
     uniform_bank,
 )
+from rframes.subspaces import build_nonuniform
 
 RTOL = 1e-12
 
@@ -98,11 +99,12 @@ def test_layers_match_direct_route_for_every_n_up_to_420():
 
 def test_layers_match_direct_route_across_channel_runs():
     # a doubled divisor bank at (1050, 2): analyze and synthesize take its
-    # channels in several runs, and every bin has two channels to add up
+    # channels in several runs of the bin map, and every bin has two
+    # channels to add up
     N, p = 1050, 2
     filters = _filters(N) * 2
     bank = RamanujanFilterBank(N, tuple(Channel(q, p) for q in divisors(N).divisors * 2))
-    assert len(filterbank._blocks(bank)) > 1
+    assert len(bank.bin_map.runs) > 1
     rng = np.random.default_rng(1050)
     x = rng.standard_normal(N)
     full = np.array([circular_convolution(x, c) for c in filters])
@@ -112,6 +114,94 @@ def test_layers_match_direct_route_across_channel_runs():
     up[:, ::p] = y
     want = sum(circular_convolution(u, c) for u, c in zip(up, filters)) / bank.tight_bound()
     assert _close(synthesize(y, bank), want, np.abs(want).max())
+
+
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, math.isqrt(n) + 1))
+
+
+def test_layers_match_direct_route_where_the_fold_aliases_more_than_two_bins():
+    # keeping every p-th output folds p bins onto each residue mod N/p; the
+    # non-uniform banks mix ratios, so their channels fold in groups by N/p_i
+    rng = np.random.default_rng(120)
+    mixed = 0
+    for N in range(3, 121):
+        qs = divisors(N).divisors
+        x = rng.standard_normal(N)
+        full = np.array([circular_convolution(x, c) for c in _filters(N)])
+        banks = [uniform_bank(N, p) for p in qs if p >= 3]
+        for p in (p for p in qs if p >= 3 and _is_prime(p)):
+            for r in (1, 2):
+                if r == 2 and N % 4 != 2:
+                    continue  # stride-2 repair needs N = 2·odd
+                banks.append(build_nonuniform(p, r, N).bank)
+                mixed += not banks[-1].uniform
+        for bank in banks:
+            rows = [qs.index(q) for q in bank.qs]
+            want = [full[j, :: ch.p] for j, ch in zip(rows, bank.channels)]
+            got = analyze(x, bank)
+            assert [g.shape for g in got] == [w.shape for w in want], (N, bank.channels)
+            assert _close(np.concatenate(got), np.concatenate(want), np.abs(full).max()), (
+                N, bank.channels)
+            energies = np.sum(full[rows] ** 2, axis=1)
+            assert _close(channel_energies(x, bank), energies, energies.max()), (N, bank.channels)
+    assert mixed > 100
+
+
+def test_bin_map_is_derived_once_per_bank(monkeypatch):
+    N, p = 210, 2
+    bank = RamanujanFilterBank(N, tuple(Channel(q, p) for q in divisors(N).divisors))
+    assert "bin_map" not in bank.__dict__
+    rng = np.random.default_rng(210)
+    x = rng.standard_normal(N)
+    y = rng.standard_normal((len(bank.channels), N // p))
+
+    def layers():
+        return (analyze(x, bank), synthesize(y, bank), channel_energies(x, bank),
+                identify_period(x))
+
+    first = layers()
+
+    def gcd(*args, **kwargs):
+        raise AssertionError("a second call derived the bin owners again")
+
+    monkeypatch.setattr(np, "gcd", gcd)
+    second = layers()
+    assert all(np.array_equal(a, b) for a, b in zip(first[0], second[0]))
+    assert np.array_equal(first[1], second[1]) and np.array_equal(first[2], second[2])
+    assert first[3] == second[3]
+    m = bank.bin_map
+    assert m is bank.bin_map
+    for arr in (m.channel, m.bins, m.slots, m.fold, m.unfold):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_spectral_layers_keep_per_call_temporaries_small():
+    # notes/decisions.md entries 11 and 12: each call works on one run of
+    # channels at a time, so what it allocates beyond its output stays small
+    N, p = 2310, 2
+    bank = uniform_bank(N, p)
+    x = np.random.default_rng(2310).standard_normal(N)
+    coeffs = analyze(x, bank)
+    calls = {
+        "analyze": lambda: analyze(x, bank),
+        "synthesize": lambda: synthesize(coeffs, bank),
+        "channel_energies": lambda: channel_energies(x, bank),
+    }
+    for name, call in calls.items():
+        call()  # the bin map and the frame bounds are built once, outside the bound
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in out) if isinstance(out, list) else out.nbytes
+        assert peak <= size + 256 * 1024, (name, (peak - size) // 1024)
 
 
 def test_frame_report_matches_direct_polyphase_stack():
@@ -196,12 +286,17 @@ def test_round_trip_at_n_30030():
     assert identify_period(planted) == math.lcm(143, 210)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j, "a"])
 def test_spectral_layers_reject_non_finite_signals(bad):
+    # signals and coefficients are real: a NaN, inf, complex or string entry
+    # is refused, never dropped or passed on as an all-NaN answer
+    message = {complex: "complex", str: "non-numeric"}.get(type(bad), "NaN or inf")
     bank = uniform_bank(30, 1)
-    x = np.ones(30)
+    x = [1.0] * 30
     x[7] = bad
+    coeffs = [list(c) for c in analyze(np.ones(30), bank)]
+    coeffs[3][2] = bad
     for call in (lambda: analyze(x, bank), lambda: channel_energies(x, bank),
-                 lambda: identify_period(x)):
-        with pytest.raises(PreconditionError, match="NaN or inf"):
+                 lambda: identify_period(x), lambda: synthesize(coeffs, bank)):
+        with pytest.raises(PreconditionError, match=message):
             call()
