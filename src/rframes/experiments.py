@@ -158,7 +158,8 @@ def recovery_instances(count: int, seed: int) -> list[RecoveryInstance]:
         pairs = all_pairs(bank)
         picks = rng.choice(len(pairs), size=room, replace=False)
         missing = tuple(pairs[int(j)] for j in np.atleast_1d(picks))
-        retained = tuple(pr for pr in pairs if pr not in set(missing))
+        dropped = set(missing)
+        retained = tuple(pr for pr in pairs if pr not in dropped)
         condition = 2.0 * len(missing) * len(support)
         if condition >= bound:
             raise InternalError("constructed instance violates its own hypothesis")

@@ -9,7 +9,8 @@ A bank owns its linear operator: the filter matrix, the exact frame bounds,
 counted over the bin owners q(f) = N/gcd(f, N), the bin map that every
 spectral layer reads, and a uniform bank's channel geometry in real Fourier
 coordinates are derived once per bank object, and :func:`coefficient_rows`
-is the one builder of shifted filters.
+is the one builder of shifted filters.  The owners themselves are derived
+once per N, by :func:`rframes.numtheory._bin_owners`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .numtheory import _bin_channel, divisors, ramanujan_sum
+from .numtheory import _bin_owners, divisors, ramanujan_sum
 
 __all__ = [
     "BinMap",
@@ -173,13 +174,12 @@ class RamanujanFilterBank:
         ratio[qs] = ps
         if (ratio[qs] != ps).any():
             raise PreconditionError("channels of one divisor have mixed ratios")
-        f = np.arange(N)
-        owner = _bin_channel(f, N)
+        owner = _bin_owners(N)
         p = ratio[owner]
         if not p.all():
             return None  # a divisor of N has no channel
         # np.sort, not np.unique, which imports numpy.ma (1 MB) on first use
-        if not np.diff(np.sort(owner * N + f % (N // p))).all():
+        if not np.diff(np.sort(owner * N + np.arange(N) % (N // p))).all():
             return None  # two of a channel's bins share a residue: it misses part of V_q
         weights = N * N * np.bincount(qs)[qs] // ps  # N²·m_q/p at each channel's q
         return int(weights.min()), int(weights.max())
@@ -188,12 +188,11 @@ class RamanujanFilterBank:
     def bin_map(self) -> BinMap:
         """The :class:`BinMap` that analysis, synthesis and channel energies read.
 
-        Built once per bank: one gcd and one sort over the N//2 + 1 bins, then a
+        Built once per bank: one sort of the owners of the N//2 + 1 bins, then a
         few array passes per run.  A divisor bank has N//2 + 1 entries.
         """
         N = self.n
-        half = np.arange(N // 2 + 1)
-        owner = _bin_channel(half, N)
+        owner = _bin_owners(N)[: N // 2 + 1]
         order = np.argsort(owner, kind="stable")  # each q's bins in one ascending segment
         cuts = np.flatnonzero(np.diff(owner[order])) + 1
         owned = dict(zip(owner[order[np.r_[0, cuts]]].tolist(), np.split(order, cuts)))
@@ -240,7 +239,7 @@ class RamanujanFilterBank:
         """
         N, p = self.n, self.ratio
         half = np.arange(N // 2 + 1)
-        owner = _bin_channel(half, N)
+        owner = _bin_owners(N)[: half.size]
         norm = np.where((half == 0) | (2 * half == N), 1.0 / math.sqrt(N), math.sqrt(2.0 / N))
         s = p * np.arange(N // p)
         out = []

@@ -123,12 +123,14 @@ def frame_operator(bank: RamanujanFilterBank) -> np.ndarray:
 def frame_report(bank: RamanujanFilterBank) -> FrameReport:
     """Frame bounds and ranks of a uniform bank, counted exactly over the bin owners.
 
-    Row m of :func:`~rframes.numtheory._bin_owners` lists the owners of the p
-    bins −m + jd that U(m) sees.  An owner q on t_q of them, with m_q
+    U(m) sees the p bins −m + jd.  Bins f and −f share an owner, so their
+    owners are those of the bins m + jd: column m of the owner vector
+    :func:`~rframes.numtheory._bin_owners` laid out as p×d, with no gather
+    (notes/decisions.md, entry 13).  An owner q on t_q of them, with m_q
     channels, gives U(m)ᴴU(m) the eigenvalue N·d·m_q·t_q and t_q − 1 zeros
     (t_q zeros when m_q = 0), so rank U(m) is the number of the row's owners
-    that have a channel (notes/decisions.md, entries 6 and 7).  No filter is
-    built and no eigenproblem is solved.
+    that have a channel (entries 6 and 7).  No filter is built, no gcd is
+    taken and no eigenproblem is solved.
 
     Raises
     ------
@@ -139,7 +141,8 @@ def frame_report(bank: RamanujanFilterBank) -> FrameReport:
         raise PreconditionError("polyphase analysis requires a uniform bank")
     N, p = bank.n, bank.ratio
     d = N // p
-    owners = np.sort(_bin_owners(N, p), axis=1)  # each owner's t_q bins in one run
+    # q(−f) = q(f): row m's bins −m + jd share the owners of m + jd, column m
+    owners = np.sort(_bin_owners(N).reshape(p, d).T, axis=1)  # each owner's t_q bins in one run
     first = np.ones((d, p), dtype=bool)
     first[:, 1:] = owners[:, 1:] != owners[:, :-1]
     starts = np.flatnonzero(first)  # every row starts a run

@@ -219,6 +219,6 @@ def frame_report_dict(report) -> dict:
         "B": float(report.B),
         "tight": bool(report.tight),
         "is_frame": bool(report.is_frame),
-        "ranks": [int(r) for r in report.ranks],
-        "per_m_eigs": [[float(e) for e in row] for row in report.per_m_eigs],
+        "ranks": list(report.ranks),  # frame_report stores Python ints and floats
+        "per_m_eigs": [list(row) for row in report.per_m_eigs],
     }

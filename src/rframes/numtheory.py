@@ -13,6 +13,7 @@ the test suite as an independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,32 +165,42 @@ def ramanujan_sum(q: int, N: int) -> np.ndarray:
     if N % q:
         raise PreconditionError(f"q={q} does not divide N={N}")
     # one Hölder value per divisor m of q, looked up by the order q // gcd(n, q)
+    # of n in Z_q, which is the bin owner map of Z_q
     prof = divisors(q)
     phi_q = prof.totients[-1]
     table = np.zeros(q + 1, dtype=np.int64)
     for m, phi_m in zip(prof.divisors, prof.totients):
         # integer-exact: φ(m) | φ(q) for m | q
         table[m] = mobius(m) * (phi_q // phi_m)
-    period = table[q // np.gcd(np.arange(q), q)]
-    return np.tile(period, N // q)
+    return np.tile(table[_bin_owners(q)], N // q)
 
 
-def _bin_channel(f, N: int):
-    """The channel q = N / gcd(f, N) that owns DFT bin f of Z_N.
+@lru_cache(maxsize=32)
+def _bin_owners(N: int) -> np.ndarray:
+    """Length-N int vector: entry f is the channel q = N // gcd(f, N) that owns DFT bin f.
 
     The DFT of c_q is N on exactly the bins with N / gcd(f, N) = q, so every
-    bin belongs to one divisor channel; exact ranks are counts over this map.
+    bin belongs to one divisor channel, and every exact rank, frame bound,
+    erasure margin and fusion bound is a count over this vector.  It is the
+    one place the owners are derived: read-only, kept for the 32 most recent
+    N (notes/decisions.md, entry 13).
     """
-    return N // np.gcd(f, N)
+    owners = N // np.gcd(np.arange(N), N)
+    owners.flags.writeable = False  # shared by every caller at this N
+    return owners
 
 
-def _bin_owners(N: int, p: int) -> np.ndarray:
-    """d×p table, d = N/p: entry (m, j) is the channel that owns DFT bin −m + jd.
+def _shift_rank(p: int, q: int, N: int) -> int:
+    """Exact rank of the p-strided shifts of c_q: distinct f mod N/p over its DFT bins f.
 
-    Row m lists the bins that U(m) and row m of a Zak image see.
+    Shift k multiplies bin f of c_q by e^{−2πifk/d}, d = N/p, a character of
+    Z_d fixed by f mod d.  Distinct characters are independent and bins with
+    equal residues give equal rows, so all d shifts, and already the first
+    φ(q) of them (a Vandermonde system), have rank #{f mod d}.
     """
-    d = N // p
-    return _bin_channel((np.arange(p) * d - np.arange(d)[:, None]) % N, N)
+    # np.sort, not np.unique, which imports numpy.ma (1 MB) on first use
+    residues = np.sort(np.flatnonzero(_bin_owners(N) == q) % (N // p))
+    return residues.size and 1 + int(np.count_nonzero(np.diff(residues)))
 
 
 def circular_shift(x, m: int) -> np.ndarray:

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalError, PreconditionError
-from .filterbank import Channel, RamanujanFilterBank, _checked_pairs, coefficient_rows, uniform_bank
-from .numtheory import _bin_channel, _bin_owners, _factorize, divisors, totient
+from .filterbank import (
+    Channel, RamanujanFilterBank, _checked_pairs, _is_int, coefficient_rows, uniform_bank,
+)
+from .numtheory import _bin_owners, _factorize, _shift_rank, divisors, totient
 
 __all__ = [
     "RamanujanSubspace",
@@ -88,20 +90,6 @@ def subspace_basis(p: int, q: int, N: int) -> RamanujanSubspace:
     rows = coefficient_rows(bank, [(k, 0) for k in range(phi)])
     # C order: BLAS products round differently on a transposed view
     return RamanujanSubspace(p=p, q=q, n=N, basis=np.ascontiguousarray(rows.T))
-
-
-def _shift_rank(p: int, q: int, N: int) -> int:
-    """Exact rank of the p-strided shifts of c_q: distinct f mod N/p over its DFT bins f.
-
-    Shift k multiplies bin f of c_q by e^{−2πifk/d}, d = N/p, a character of
-    Z_d fixed by f mod d.  Distinct characters are independent and bins with
-    equal residues give equal rows, so all d shifts, and already the first
-    φ(q) of them (a Vandermonde system), have rank #{f mod d}.
-    """
-    f = np.arange(N)
-    # np.sort, not np.unique, which imports numpy.ma (1 MB) on first use
-    residues = np.sort(f[_bin_channel(f, N) == q] % (N // p))
-    return residues.size and 1 + int(np.count_nonzero(np.diff(residues)))
 
 
 def _spanning_shifts(p: int, q: int, N: int) -> int:
@@ -277,10 +265,16 @@ def filterbank_erasure_margin(bank: RamanujanFilterBank, j: int, m: int) -> floa
     The bank survives losing the whole of channel j iff the margin is nonzero
     for every m; the q=1 channel always has margin exactly 0 at m=0, which is
     why no uniform tight bank tolerates a full channel erasure.
+
+    Raises
+    ------
+    PreconditionError
+        If the bank is not uniform and tight, or j or m is not an integer
+        (bools and floats are refused) or is out of range.
     """
     margins = channel_erasure_margins(bank, j)
-    if not 0 <= m < len(margins):
-        raise PreconditionError(f"frequency index {m} outside Z_{len(margins)}")
+    if not _is_int(m) or not 0 <= m < len(margins):
+        raise PreconditionError(f"frequency index {m!r} is not an integer in Z_{len(margins)}")
     return float(margins[m])
 
 
@@ -289,14 +283,22 @@ def channel_erasure_margins(bank: RamanujanFilterBank, j: int) -> np.ndarray:
 
     Row m of the Zak image of c_q sees the DFT of c_q on those p bins, N on
     the bins q owns and 0 elsewhere, so Σ_n |Zc_q(m, n)|² = N·(the count).
+    The count is one pass over q_j's bins f in the owner vector, binned by
+    their row −f mod d (notes/decisions.md, entry 13).
+
+    Raises
+    ------
+    PreconditionError
+        If the bank is not uniform and tight, or j is not an integer channel
+        index (bools and floats are refused).
     """
     A = bank.tight_bound()
-    if not 0 <= j < len(bank.channels):
-        raise PreconditionError(f"channel index {j} out of range")
-    p = bank.ratio
-    d = bank.n // p
-    hits = (_bin_owners(bank.n, p) == bank.qs[j]).sum(axis=1)
-    return 1.0 - (bank.n * d / A) * hits
+    if not _is_int(j) or not 0 <= j < len(bank.channels):
+        raise PreconditionError(f"channel index {j!r} is not an integer in range")
+    N = bank.n
+    d = N // bank.ratio
+    f = np.flatnonzero(_bin_owners(N) == bank.qs[j])
+    return 1.0 - (N * d / A) * np.bincount(-f % d, minlength=d)
 
 
 def _survivor_bounds(bank: RamanujanFilterBank, erased) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +379,9 @@ def fusion_frame_check(p: int, N: int, draws: int = 20, seed: int = 0) -> Fusion
     eigenvalue range of Σ_q P_q (op_min, op_max).  Σ_q P_q is diagonal in the
     DFT basis, with bin f's entry the number of divisor channels owning f, so
     the exact route reduces to the min and max of that count.  All four are 1
-    for a Parseval fusion frame.
+    for a Parseval fusion frame.  The rank check and both routes read the
+    owner vector :func:`~rframes.numtheory._bin_owners` (notes/decisions.md,
+    entry 13).
     """
     _check_stride(p, N)
     if draws < 1:
@@ -385,7 +389,7 @@ def fusion_frame_check(p: int, N: int, draws: int = 20, seed: int = 0) -> Fusion
     qs = divisors(N).divisors
     for q in qs:
         _spanning_shifts(p, q, N)
-    owns = (_bin_channel(np.arange(N), N)[:, None] == np.array(qs)).astype(float)  # bin × channel
+    owns = (_bin_owners(N)[:, None] == np.array(qs)).astype(float)  # bin × channel
     owners = owns.sum(axis=1)
     X = np.random.default_rng(seed).standard_normal((draws, N))  # row t is draw t
     energies = (np.abs(np.fft.fft(X, axis=1)) ** 2 / N @ owns).T  # channel × draw

@@ -132,6 +132,10 @@ def test_frame_report_dict_fields():
     assert d["tight"] is True
     assert np.isclose(d["A"], 18.0)
     assert json.loads(json_dumps(d))["ranks"] == [2, 2, 2]
+    # the report's own Python ints and floats, not converted again
+    assert d["ranks"] == list(rep.ranks) and all(type(r) is int for r in d["ranks"])
+    assert d["per_m_eigs"] == [list(row) for row in rep.per_m_eigs]
+    assert all(type(e) is float for row in d["per_m_eigs"] for e in row)
 
 
 # ---------------------------------------------------------------------------

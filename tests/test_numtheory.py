@@ -23,6 +23,7 @@ from rframes import (
     totient,
 )
 from conftest import dft_channel_mask, trig_ramanujan
+from rframes.numtheory import _bin_owners
 
 LCM = math.lcm
 
@@ -233,3 +234,19 @@ def test_self_convolution_reproduces_channel():
 def test_inner_product_is_plain_dot(rng):
     x, y = rng.standard_normal((2, 11))
     assert np.isclose(inner_product(x, y), float(x @ y))
+
+
+def test_bin_owners_match_the_dft_masks():
+    # entry f of the owner vector is the q whose DFT mask {kN/q : (k,q)=1} holds f
+    for N in range(1, 121):
+        owners = _bin_owners(N)
+        want = np.zeros(N, dtype=np.int64)
+        for q in divisors(N).divisors:
+            mask = dft_channel_mask(q, N)
+            assert not want[mask].any(), (N, q)  # one owner per bin
+            want[mask] = q
+        assert np.array_equal(owners, want), N
+        assert _bin_owners(N) is owners
+        assert not owners.flags.writeable
+        with pytest.raises(ValueError):
+            owners[0] = 0

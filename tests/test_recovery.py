@@ -619,6 +619,15 @@ def test_sparse_noise_model():
         add_noise(x, "white")
 
 
+def test_recovery_instances_are_pinned_at_seed_zero():
+    # the drawn missing pairs, and the retained pairs in all_pairs order
+    got = [(inst.n, inst.p, inst.missing) for inst in recovery_instances(4, seed=0)]
+    assert got == [(6, 1, ((1, 1),)), (12, 1, ((1, 0),)), (18, 1, ((14, 5),)),
+                   (24, 1, ((8, 4),))]
+    for inst in recovery_instances(4, seed=0):
+        assert inst.retained == tuple(pr for pr in all_pairs(inst.bank) if pr not in inst.missing)
+
+
 def test_instance_menus_respect_their_bounds():
     for inst in recovery_instances(9, seed=0):
         assert inst.condition < inst.bound

@@ -12,12 +12,15 @@ import rframes.frames as frames
 import rframes.subspaces as subspaces
 from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
+    Channel,
     PreconditionError,
+    RamanujanFilterBank,
     aliasing_divisors,
     build_nonuniform,
     channel_erasure_margins,
     divisors,
     filterbank_erasure_margin,
+    frame_report,
     fusion_after_local_erasures,
     fusion_frame_check,
     orthogonal_decomposition_check,
@@ -222,6 +225,53 @@ def test_margin_preconditions():
         filterbank_erasure_margin(tight, 9, 0)
     with pytest.raises(PreconditionError):
         filterbank_erasure_margin(tight, 0, 3)
+    # indices are integers: a bool or a float is refused, not read as one
+    for j in (True, False, 1.0, np.float64(1), "1", None):
+        with pytest.raises(PreconditionError):
+            channel_erasure_margins(tight, j)
+        with pytest.raises(PreconditionError):
+            filterbank_erasure_margin(tight, j, 0)
+    for m in (True, False, 2.0, np.float64(0), "0", None):
+        with pytest.raises(PreconditionError):
+            filterbank_erasure_margin(tight, 1, m)
+    margins = channel_erasure_margins(tight, np.int64(1))
+    assert np.array_equal(margins, channel_erasure_margins(tight, 1))
+    assert filterbank_erasure_margin(tight, np.int64(1), np.int64(2)) == margins[2]
+
+
+def test_owner_counts_take_no_gcd_after_the_first_round(monkeypatch):
+    # notes/decisions.md entry 13: the owners are derived once per N, and
+    # every exact count after that reads the cached owner vector
+    N = 210  # 2·odd, so both strides of the subspace layer apply
+    qs = divisors(N).divisors
+
+    def owner_round():
+        tight = uniform_bank(N, 2)
+        fresh = RamanujanFilterBank(N, tuple(Channel(q, 2) for q in qs))
+        return [
+            frame_report(tight), frame_report(uniform_bank(N, 3)),
+            [channel_erasure_margins(tight, j) for j in range(len(qs))],
+            fusion_frame_check(1, N), fusion_frame_check(2, N),
+            [rank_Q(p, q, N) for p in (2, 3, 5, 7) for q in qs],
+            [subspace_basis(p, q, N).basis for p in (1, 2) for q in qs],
+            build_nonuniform(3, 2, N), build_nonuniform(7, 1, N),
+            fresh.frame_bounds,
+            [getattr(fresh.bin_map, a) for a in ("channel", "bins", "slots", "fold", "unfold")],
+            [g.rows for g in fresh.channel_geometry],
+        ]
+
+    first = owner_round()
+
+    def gcd(*args, **kwargs):
+        raise AssertionError("a second round derived the bin owners again")
+
+    monkeypatch.setattr(np, "gcd", gcd)
+    second = owner_round()
+    for a, b in zip(first, second):
+        if isinstance(a, list):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        else:
+            assert a == b
 
 
 def test_single_erasures_of_z4_bank():
