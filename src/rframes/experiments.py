@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InternalError
 from .filterbank import RamanujanFilterBank, analyze, uniform_bank
 from .frames import classify_theorem_case, frame_report, polyphase_matrix
-from .numtheory import _factorize, circular_convolution, divisors, totient
+from .numtheory import _factorize, divisors, totient
 from .recovery import (
     GaussianNoiseModel,
     SparseNoiseModel,
@@ -101,10 +101,7 @@ def sparse_top_channel(N: int) -> np.ndarray:
     x = np.zeros(N)
     x[0] = 1.0
     for ell in _factorize(N):
-        g = np.zeros(N)
-        g[0] = 1.0
-        g[N // ell] -= 1.0
-        x = circular_convolution(x, g).astype(float)
+        x = x - np.roll(x, N // ell)  # x ∗ (δ_0 − δ_{N/ℓ})
     return x
 
 

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .numtheory import _bin_owners, divisors, ramanujan_sum
+from .numtheory import _bin_owners, _shift_rank, divisors, ramanujan_sum
 
 __all__ = [
     "BinMap",
@@ -56,9 +56,11 @@ class ChannelGeometry:
     Coordinate j is the inner product with √(2/N)·cos or sin(2π·g_j·n/N) for
     a half-spectrum bin g_j that q owns (1/√N·cos at g = 0 and N/2), so U has
     φ(q) columns.  Row k of ``rows`` is the kept shift L_{pk}c_q in U's
-    coordinates, N·w_j·(cos or sin)(2π·g_j·pk/N), for every k ∈ Z_d, and
-    rows = W·diag(sv)·vt is its SVD, vt φ(q)×φ(q) (the full SVD where d < φ(q)).
-    Read-only.
+    coordinates, N·w_j·(cos or sin)(2π·g_j·pk/N), for every k ∈ Z_d.
+    ``spans`` says whether those shifts span V_q, _shift_rank(p, q, N) = φ(q).
+    Then their Gram rowsᵀ·rows is exactly (N²/p)·I, the channel's share of
+    the frame operator, so every singular value is N/√p
+    (notes/decisions.md, entry 14).  Read-only.
     """
 
     q: int
@@ -66,8 +68,7 @@ class ChannelGeometry:
     sine: np.ndarray  # True where coordinate j is the sine of its bin
     w: np.ndarray  # the basis norm factor of coordinate j
     rows: np.ndarray  # d × φ(q)
-    sv: np.ndarray
-    vt: np.ndarray
+    spans: bool
 
 
 @dataclass(frozen=True)
@@ -228,9 +229,10 @@ class RamanujanFilterBank:
     def channel_geometry(self) -> tuple[ChannelGeometry, ...]:
         """One :class:`ChannelGeometry` per divisor q of N, ascending; built once per bank.
 
-        The recovery layer selects its retained shifts from ``rows`` and takes
-        the cached SVD for a channel that keeps all d of them.  Holds
-        N²/p + Σ_q φ(q)² doubles (notes/decisions.md, entry 9).
+        The recovery layer selects its retained shifts from ``rows``, and a
+        channel that keeps all d of them takes the closed form where it
+        ``spans``.  Every entry is gathered from one 2×N table of cos and sin
+        of 2πn/N.  Holds N²/p doubles (notes/decisions.md, entries 9 and 14).
 
         Raises
         ------
@@ -241,6 +243,8 @@ class RamanujanFilterBank:
         half = np.arange(N // 2 + 1)
         owner = _bin_owners(N)[: half.size]
         norm = np.where((half == 0) | (2 * half == N), 1.0 / math.sqrt(N), math.sqrt(2.0 / N))
+        angle = (2.0 * np.pi / N) * np.arange(N)
+        trig = np.stack([np.cos(angle), np.sin(angle)])
         s = p * np.arange(N // p)
         out = []
         for q in divisors(N).divisors:
@@ -248,12 +252,10 @@ class RamanujanFilterBank:
             bins = np.concatenate([g, g[(g != 0) & (2 * g != N)]])
             sine = np.arange(bins.size) >= g.size
             w = norm[bins]
-            angle = (2.0 * np.pi / N) * ((s[:, None] * bins) % N)
-            rows = N * w * np.where(sine, np.sin(angle), np.cos(angle))
-            _, sv, vt = np.linalg.svd(rows, full_matrices=s.size < bins.size)
-            for a in (bins, sine, w, rows, sv, vt):
+            rows = N * w * trig[sine.astype(int), (s[:, None] * bins) % N]
+            for a in (bins, sine, w, rows):
                 a.flags.writeable = False  # banks are shared: see uniform_bank
-            out.append(ChannelGeometry(q, bins, sine, w, rows, sv, vt))
+            out.append(ChannelGeometry(q, bins, sine, w, rows, _shift_rank(p, q, N) == bins.size))
         return tuple(out)
 
     def tight_bound(self) -> float:

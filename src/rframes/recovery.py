@@ -145,7 +145,9 @@ class _ChannelSystem:
     (:class:`~rframes.filterbank.ChannelGeometry`).  Row s of B is a retained
     shift, B = W·diag(sv)·vt is its SVD with vt square (φ(q)×φ(q)), and
     t = Uᵀ·observed.  The first ``rank`` rows of vt are the directions the
-    retained shifts determine, the rest the null directions.
+    retained shifts determine, the rest the null directions.  vt is None for
+    the identity, the closed form of a channel that keeps all d shifts and
+    spans V_q.
     """
 
     q: int
@@ -153,7 +155,7 @@ class _ChannelSystem:
     sine: np.ndarray
     w: np.ndarray
     sv: np.ndarray
-    vt: np.ndarray
+    vt: np.ndarray | None
     t: np.ndarray
     rank: int
 
@@ -175,22 +177,24 @@ def _channel_systems(observed, keep, bank: RamanujanFilterBank) -> list[_Channel
     L_{pk}c_q lie in V_q and the V_q are orthogonal, so the coefficient
     constraints split by channel.  B is the retained rows of the bank's
     cached ``channel_geometry``, and one rfft of observed gives every t.  A
-    channel that keeps all d shifts takes the cached SVD; only a channel
-    with some shifts missing calls the SVD.  The rank cut s > 1e−10·max σ
-    runs over all channels at once: the singular values of the stacked rows
-    R are the union of the channels', so this is the cut of the simplex's
-    row reduction on R.  A channel that keeps fewer shifts than φ(q) takes
-    the full SVD, because the thin vt stops at the shift count and would
-    lose null directions.
+    channel that keeps all d shifts and spans V_q has BᵀB = (N²/p)·I, so it
+    takes the closed form sv = N/√p, vt = I, with no SVD and no identity
+    built (notes/decisions.md, entry 14).  Every other channel with shifts
+    calls the SVD.  The rank cut s > 1e−10·max σ runs over all channels at
+    once: the singular values of the stacked rows R are the union of the
+    channels', so this is the cut of the simplex's row reduction on R.  A
+    channel that keeps fewer shifts than φ(q) takes the full SVD, because
+    the thin vt stops at the shift count and would lose null directions.
     """
     X = np.fft.rfft(observed)
     d = keep.shape[1]
     qs = np.array(bank.qs)
+    spanning_sv = bank.n / math.sqrt(bank.ratio)
     svds = []
     for geo in bank.channel_geometry:
         ks = np.nonzero(keep[qs == geo.q])[1]
-        if ks.size == d and np.bincount(ks, minlength=d).all():  # each shift once
-            svds.append((geo.sv, geo.vt))
+        if geo.spans and ks.size == d and np.bincount(ks, minlength=d).all():  # each shift once
+            svds.append((np.full(geo.bins.size, spanning_sv), None))
         elif ks.size:
             svds.append(np.linalg.svd(geo.rows[ks], full_matrices=ks.size < geo.bins.size)[1:])
         else:
@@ -215,6 +219,8 @@ def _spectrum(N: int, system: _ChannelSystem, coords: np.ndarray) -> np.ndarray:
 
 def _null_directions(N: int, system: _ChannelSystem) -> np.ndarray:
     """Orthonormal N×(φ(q) − rank) basis of the part of V_q the retained shifts miss."""
+    if system.vt is None:  # the closed form spans V_q: nothing is missed
+        return np.zeros((N, 0))
     return np.fft.irfft(_spectrum(N, system, system.vt[system.rank:]), n=N, axis=1).T
 
 
@@ -240,8 +246,11 @@ def _solve_channels(observed, pairs, bank: RamanujanFilterBank, killed=()) -> np
                     f"observation has energy in channel {s.q}, outside the declared periods"
                 )
             continue
-        V = s.vt[: s.rank]
-        alpha = A * (V.T @ ((V @ s.t) / s.sv[: s.rank] ** 2))
+        if s.vt is None:  # the expression below with V = I
+            alpha = A * (s.t / s.sv**2)
+        else:
+            V = s.vt[: s.rank]
+            alpha = A * (V.T @ ((V @ s.t) / s.sv[: s.rank] ** 2))
         X_p += _spectrum(N, s, alpha[None, :])[0]
         if s.rank < s.bins.size:
             null.append(_null_directions(N, s))
@@ -304,12 +313,13 @@ def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     the V_q are orthogonal, so the subspace is the union over q of
     :func:`_null_directions` of q's complement system.  The complement is
     the negated K×d mask of the membership, which is checked once.  A
-    channel whose complement holds every shift adds nothing (when the shifts
-    span V_q) and takes the bank's cached SVD, one with no complement shift
-    adds all φ(q) of its real Fourier directions, and a sparse membership
-    takes the per-channel SVD.  The
-    rank cut is the global 1e−10·σ_max: the channels' singular values are
-    exactly those of the complement's stacked coefficient rows.
+    channel whose complement holds every shift adds nothing where its
+    shifts span V_q, by the closed form with no SVD; one with no complement
+    shift adds all φ(q) of its real Fourier directions, and every other
+    channel takes the per-channel SVD (on a bank that is not tight, also a
+    full channel that falls short of V_q).  The rank cut is the global
+    1e−10·σ_max: the channels' singular values are exactly those of the
+    complement's stacked coefficient rows.
     """
     complement = ~_pair_mask(bank, pairs)
     null = [

@@ -5,7 +5,9 @@ banks, erasure robustness, and fusion-frame checks.
 S_{p,q} is the span of the φ(q) consecutive p-strided shifts of c_q.  For
 p = 1 the subspaces of the divisors of N decompose ℓ²(Z_N) orthogonally for
 every N; for p = 2 the same holds exactly when N = 2·(odd), in which case
-S_{2,q} = S_{1,q}.
+S_{2,q} = S_{1,q}.  These are exactly the strides whose divisor bank is
+tight, so the subspace functions require ``uniform_bank(N, p).tight_bound()``
+and take every span fact from that exact count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .filterbank import (
-    Channel, RamanujanFilterBank, _checked_pairs, _is_int, coefficient_rows, uniform_bank,
+    Channel, RamanujanFilterBank, _checked_pairs, _checked_signal, _is_int, _real_vector,
+    coefficient_rows, uniform_bank,
 )
 from .numtheory import _bin_owners, _factorize, _shift_rank, divisors, totient
 
@@ -39,25 +42,13 @@ __all__ = [
     "fusion_after_local_erasures",
 ]
 
-def _check_stride(p: int, N: int) -> None:
-    """Strides with a full orthogonal divisor decomposition: p=1 always, p=2 for N=2·odd."""
-    if p == 1:
-        return
-    if p == 2:
-        if N % 2 == 0 and (N // 2) % 2 == 1:
-            return
-        raise PreconditionError(
-            f"stride 2 subspaces need N = 2·(odd), got N={N}"
-        )
-    raise PreconditionError(f"subspace stride must be 1 or 2, got p={p}")
-
-
 @dataclass(frozen=True)
 class RamanujanSubspace:
     """S_{p,q} ⊂ ℓ²(Z_N) with its natural (non-orthogonal) shift basis.
 
-    basis columns are L_{pk} c_q for k = 0..φ(q)−1; rank φ(q) is verified at
-    construction (exactly, by :func:`_shift_rank`).
+    basis columns are L_{pk} c_q for k = 0..φ(q)−1, read from the cached
+    divisor bank at stride p.  That bank is required to be tight, which
+    proves rank φ(q) for every divisor (notes/decisions.md, entry 14).
     """
 
     p: int
@@ -73,34 +64,26 @@ class RamanujanSubspace:
 def subspace_basis(p: int, q: int, N: int) -> RamanujanSubspace:
     """The φ(q) consecutive p-strided shifts of c_q as basis columns.
 
+    Read from channel q of the cached divisor bank ``uniform_bank(N, p)``,
+    which must be tight: that holds for p = 1, and for p = 2 exactly when
+    N = 2·(odd), and proves that every divisor's shifts span its V_q.
+
     Parameters
     ----------
-    p : {1, 2}
-        Shift stride; p=2 requires N = 2·(odd).
+    p : int
+        Shift stride of a tight divisor bank.
     q : int
         Divisor of N.
     N : int
         Ambient dimension.
     """
-    _check_stride(p, N)
-    if N % q:
-        raise PreconditionError(f"q={q} does not divide N={N}")
-    phi = _spanning_shifts(p, q, N)
-    bank = RamanujanFilterBank(N, (Channel(q, p),))
-    rows = coefficient_rows(bank, [(k, 0) for k in range(phi)])
+    bank = uniform_bank(N, p)
+    bank.tight_bound()
+    if not _is_int(q) or q not in bank.qs:
+        raise PreconditionError(f"q={q!r} is not a divisor of N={N}")
+    rows = coefficient_rows(bank, [(k, bank.qs.index(q)) for k in range(totient(q))])
     # C order: BLAS products round differently on a transposed view
     return RamanujanSubspace(p=p, q=q, n=N, basis=np.ascontiguousarray(rows.T))
-
-
-def _spanning_shifts(p: int, q: int, N: int) -> int:
-    """φ(q), after checking that the p-strided shifts of c_q span all of V_q."""
-    phi = totient(q)
-    rank = _shift_rank(p, q, N)
-    if rank != phi:
-        raise InternalError(
-            f"shift basis of S_({p},{q}) in Z_{N} has rank {rank}, expected φ({q})={phi}"
-        )
-    return phi
 
 
 def orthonormalize(cols: np.ndarray) -> np.ndarray:
@@ -129,7 +112,6 @@ class DecompositionCheck:
 
 def orthogonal_decomposition_check(p: int, N: int) -> DecompositionCheck:
     """Verify pairwise orthogonality of the divisor subspaces and that they fill Z_N."""
-    _check_stride(p, N)
     prof = divisors(N)
     bases = [subspace_basis(p, q, N).basis for q in prof.divisors]
     B = np.hstack(bases)
@@ -149,10 +131,15 @@ def rpt_expand(x, p: int) -> dict[tuple[int, int], float]:
     Returns {(q, ℓ): α} with x = Σ α_{q,ℓ} · L_{pℓ} c_q, ℓ = 0..φ(q)−1.  The
     N×N block system is solved directly; the reconstruction residual is
     verified below 1e−8·‖x‖.
+
+    Raises
+    ------
+    PreconditionError
+        If x is not a real vector or holds NaN or inf, or the divisor bank
+        at stride p is not tight.
     """
-    x = np.asarray(x, dtype=float)
-    N = len(x)
-    _check_stride(p, N)
+    N = len(_real_vector(x, "signal"))
+    x = _checked_signal(x, uniform_bank(N, p))
     prof = divisors(N)
     blocks = [subspace_basis(p, q, N).basis for q in prof.divisors]
     B = np.hstack(blocks)
@@ -234,21 +221,17 @@ def build_nonuniform(p: int, r: int, N: int) -> NonUniformBankSpec:
     Raises
     ------
     PreconditionError
-        Hypothesis violations.
-    InternalError
-        If the verified collection fails to be a frame (cannot happen under
-        the preconditions).
+        Hypothesis violations, and a repaired bank that the exact count
+        finds is not a frame, which for r ∈ {1, 2} is r = 2 with 4 | N.
     """
     if r not in (1, 2):
         raise PreconditionError(f"repair ratio r must be 1 or 2, got {r}")
-    if r == 2:
-        _check_stride(2, N)  # stride-2 spans need N = 2·odd
     dset = aliasing_divisors(p, N)  # validates p prime, p | N
     qs = divisors(N).divisors
     ratios = tuple(r if q in dset else p for q in qs)
     bank = RamanujanFilterBank(N, tuple(map(Channel, qs, ratios)))
     if bank.frame_bounds is None:
-        raise InternalError(f"non-uniform bank (p={p}, r={r}, N={N}) is not a frame")
+        raise PreconditionError(f"non-uniform bank (p={p}, r={r}, N={N}) is not a frame")
     A, B = map(float, bank.frame_bounds)
     return NonUniformBankSpec(
         p=p, r=r, n=N, dset=dset, ratios=ratios, bank=bank, A=A, B=B, is_frame=True
@@ -372,23 +355,28 @@ def fusion_frame_check(p: int, N: int, draws: int = 20, seed: int = 0) -> Fusion
     """Check the Parseval identity Σ_q ‖P_{S_{p,q}} x‖² = ‖x‖² on seeded draws.
 
     S_{p,q} lies in V_q, the span of the DFT bins q owns, and equals it once
-    the strided shifts have rank φ(q) = dim V_q, which :func:`_shift_rank`
-    checks exactly for every divisor.  Then P_q x keeps x's DFT on q's bins,
-    so ‖P_q x‖² = Σ_{f owned by q} |x̂(f)|²/N from one FFT of the draws.  Both
-    routes are reported: per-draw energy ratios (a_f, b_f) and the exact
-    eigenvalue range of Σ_q P_q (op_min, op_max).  Σ_q P_q is diagonal in the
-    DFT basis, with bin f's entry the number of divisor channels owning f, so
-    the exact route reduces to the min and max of that count.  All four are 1
-    for a Parseval fusion frame.  The rank check and both routes read the
-    owner vector :func:`~rframes.numtheory._bin_owners` (notes/decisions.md,
-    entry 13).
+    the strided shifts have rank φ(q) = dim V_q.  The divisor bank at stride
+    p must be tight, and its exact frame bounds prove that rank for every
+    divisor (notes/decisions.md, entry 14).  Then P_q x keeps x's DFT on q's
+    bins, so ‖P_q x‖² = Σ_{f owned by q} |x̂(f)|²/N from one FFT of the
+    draws.  Both routes are reported: per-draw energy ratios (a_f, b_f) and
+    the exact eigenvalue range of Σ_q P_q (op_min, op_max).  Σ_q P_q is
+    diagonal in the DFT basis, with bin f's entry the number of divisor
+    channels owning f, so the exact route reduces to the min and max of that
+    count.  All four are 1 for a Parseval fusion frame.  Both routes read the
+    owner vector :func:`~rframes.numtheory._bin_owners` (entry 13).
+
+    Raises
+    ------
+    PreconditionError
+        If the divisor bank at stride p is not tight, or draws is not an
+        integer ≥ 1 (bools and floats are refused).
     """
-    _check_stride(p, N)
-    if draws < 1:
-        raise PreconditionError("need at least one draw")
-    qs = divisors(N).divisors
-    for q in qs:
-        _spanning_shifts(p, q, N)
+    bank = uniform_bank(N, p)
+    bank.tight_bound()
+    if not _is_int(draws) or draws < 1:
+        raise PreconditionError(f"need an integer count of draws >= 1, got {draws!r}")
+    qs = bank.qs
     owns = (_bin_owners(N)[:, None] == np.array(qs)).astype(float)  # bin × channel
     owners = owns.sum(axis=1)
     X = np.random.default_rng(seed).standard_normal((draws, N))  # row t is draw t

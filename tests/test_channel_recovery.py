@@ -19,6 +19,7 @@ from rframes import (
     RamanujanFilterBank,
     all_pairs,
     denoise,
+    divisors,
     frame_report,
     recover_missing,
     recover_missing_periodic,
@@ -35,6 +36,7 @@ from rframes.experiments import (
     table1_rows,
 )
 from rframes.io import write_pairs, write_signal
+from rframes.numtheory import _shift_rank
 from rframes.recovery import _channel_systems, _null_directions, _pair_mask, coefficient_rows
 from rframes.simplex import solve_l1_lp
 
@@ -257,13 +259,10 @@ def test_channel_geometry_maps_back_to_the_shifts():
                 assert np.abs(shifts - trig).max() <= 1e-12 * scale, (N, p, g.q)
                 lib = coefficient_rows(bank, [(k, i) for k in range(d)])
                 assert np.abs(shifts - lib).max() <= 1e-12 * scale, (N, p, g.q)
-                # the cached SVD factors the rows
-                assert g.vt.shape == (totient(g.q),) * 2
-                assert np.abs(g.vt @ g.vt.T - np.eye(totient(g.q))).max() <= 1e-12
+                # the shifts span V_q, so every singular value of the rows is N/√p
+                assert g.spans
                 sv = np.linalg.svd(g.rows, compute_uv=False)
-                assert np.abs(g.sv - sv).max() <= 1e-12 * sv[0]
-                Wsv = g.rows @ g.vt[: g.sv.size].T  # = W·diag(sv), orthogonal columns
-                assert np.abs(Wsv.T @ Wsv - np.diag(g.sv**2)).max() <= 1e-12 * sv[0] ** 2
+                assert np.abs(sv - N / np.sqrt(p)).max() <= 1e-12 * sv[0]
             checked += 1
     assert checked >= 4
 
@@ -273,7 +272,7 @@ def test_channel_geometry_is_built_once_and_read_only():
     geometry = bank.channel_geometry
     assert uniform_bank(30, 1).channel_geometry is geometry
     for g in geometry:
-        for name in ("bins", "sine", "w", "rows", "sv", "vt"):
+        for name in ("bins", "sine", "w", "rows"):
             a = getattr(g, name)
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
@@ -302,6 +301,50 @@ def test_a_second_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
     second = recover_missing(observed, retained, bank)
     assert calls == [(d - 5, totient(2)), (d - 5, totient(7))]
     assert np.array_equal(first, second)
+
+
+def test_a_first_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
+    # a fresh bank derives its geometry with no SVD: the channels that keep
+    # every shift and span V_q take the closed form BᵀB = (N²/p)·I
+    bank = RamanujanFilterBank(70, tuple(Channel(q, 2) for q in uniform_bank(70, 2).qs))
+    d = 35
+    gone = {(k, i) for i in (1, 3) for k in range(5)} | {(k, 6) for k in range(d)}
+    retained = [pr for pr in all_pairs(bank) if pr not in gone]
+    x = periodic_signal(70, (5, 7), seed=0)
+    observed = truncated_sum(x, retained, bank)
+    want = recover_missing(observed, retained, uniform_bank(70, 2))
+    real_svd, calls = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    got = recover_missing(observed, retained, bank)
+    assert calls == [(d - 5, totient(2)), (d - 5, totient(7))]
+    assert np.array_equal(got, want)
+
+
+def test_geometry_of_every_tight_bank_has_the_closed_form_gram():
+    # a tight bank spans every V_q, and its rows' Gram is the channel's share
+    # (N²/p)·I of the frame operator; where a bank is not a frame, spans
+    # follows the exact shift rank channel by channel
+    tight = 0
+    for N in range(1, 121):
+        for p in divisors(N).divisors:
+            bank = uniform_bank(N, p)
+            if bank.frame_bounds is None or bank.frame_bounds[0] != bank.frame_bounds[1]:
+                continue
+            for g in bank.channel_geometry:
+                assert g.spans, (N, p, g.q)
+                gram = g.rows.T @ g.rows
+                assert np.abs(gram - N * N / p * np.eye(g.bins.size)).max() <= 1e-12 * N * N, (N, p, g.q)
+            tight += 1
+    assert tight == 120 + 30  # p = 1 for every N, and p = 2 for N = 2·odd
+    for N in (12, 60):
+        spans = [g.spans for g in uniform_bank(N, 2).channel_geometry]
+        assert spans == [_shift_rank(2, q, N) == totient(q) for q in divisors(N).divisors]
+        assert not all(spans)
 
 
 def test_shuffled_pairs_recover_the_same_signal():

@@ -9,6 +9,7 @@ import pytest
 
 import rframes.filterbank as filterbank
 import rframes.frames as frames
+import rframes.numtheory as numtheory
 import rframes.subspaces as subspaces
 from conftest import dft_subspace_projector, trig_ramanujan
 from rframes import (
@@ -60,6 +61,26 @@ def test_subspace_basis_preconditions():
         subspace_basis(1, 5, 12)  # q must divide N
     with pytest.raises(PreconditionError):
         subspace_basis(3, 3, 9)  # only strides 1 and 2 keep the spans intact
+    for q in (2.0, np.float64(2), True, "2", None):  # refused, not read as an integer
+        with pytest.raises(PreconditionError):
+            subspace_basis(1, q, 6)
+    assert np.array_equal(subspace_basis(1, np.int64(2), 6).basis, subspace_basis(1, 2, 6).basis)
+
+
+def test_tight_divisor_banks_admit_exactly_strides_one_and_half_of_two_odd():
+    # the subspace layer requires a tight divisor bank: p = 1, or p = 2 with N = 2·odd
+    for N in range(1, 121):
+        for p in divisors(N).divisors:
+            valid = p == 1 or (p == 2 and N % 4 == 2)
+            bounds = uniform_bank(N, p).frame_bounds
+            assert (bounds is not None and bounds[0] == bounds[1]) == valid, (N, p)
+            if valid:
+                assert subspace_basis(p, N, N).dim == totient(N)
+                continue
+            with pytest.raises(PreconditionError, match="not tight"):
+                subspace_basis(p, 1, N)
+            with pytest.raises(PreconditionError, match="not tight"):
+                fusion_frame_check(p, N, draws=1)
 
 
 def test_orthonormalize_produces_frames_of_unit_vectors(rng):
@@ -94,6 +115,20 @@ def test_rpt_expansion_round_trip(rng):
         for (q, ell), a in coeffs.items():
             rebuilt += a * np.roll(ramanujan_sum(q, N).astype(float), p * ell)
         assert np.allclose(rebuilt, x, atol=1e-8)
+
+
+def test_rpt_expansion_refuses_values_it_cannot_expand():
+    # NaN and inf used to give NaN coefficients, and a complex x lost its imaginary part
+    x = np.ones(12)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[3] = bad
+        with pytest.raises(PreconditionError, match="NaN or inf"):
+            rpt_expand(y, 1)
+    for bad in (x + 1j, x.astype(str), [[1.0] * 12], [], 5.0):
+        with pytest.raises(PreconditionError):
+            rpt_expand(bad, 1)
+    assert rpt_expand([1] * 12, 1) == rpt_expand(x, 1)
 
 
 def test_rpt_expansion_of_single_filter():
@@ -375,9 +410,47 @@ def test_fusion_energies_match_both_projector_oracles():
                 assert (err <= 1e-12 * want).all(), (p, N, seed, err.max())
 
 
+def test_fusion_check_refuses_draw_counts_that_are_not_integers():
+    for draws in (2.5, 3.0, True, False, "3", None, 0, -1):
+        with pytest.raises(PreconditionError, match="draws"):
+            fusion_frame_check(1, 30, draws=draws)
+    assert fusion_frame_check(1, 30, draws=np.int64(3)) == fusion_frame_check(1, 30, draws=3)
+
+
+def test_subspace_bases_build_no_bank_after_the_first_round(monkeypatch):
+    # every span fact comes from the cached divisor bank: a second round
+    # builds no bank and evaluates no Ramanujan sum
+    N = 210
+    x = np.random.default_rng(5).standard_normal(N)
+
+    def subspace_round():
+        return [
+            [subspace_basis(p, q, N).basis for p in (1, 2) for q in divisors(N).divisors],
+            list(rpt_expand(x, 2).values()),
+            [fusion_frame_check(p, N, draws=2).energies for p in (1, 2)],
+        ]
+
+    first = subspace_round()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a second round built a bank or a Ramanujan sum")
+
+    monkeypatch.setattr(RamanujanFilterBank, "__post_init__", refuse)
+    monkeypatch.setattr(numtheory, "ramanujan_sum", refuse)
+    monkeypatch.setattr(filterbank, "ramanujan_sum", refuse)
+    second = subspace_round()
+    for a, b in zip(first, second):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+    assert orthogonal_decomposition_check(2, N).ok
+
+
 def test_fusion_check_refuses_shifts_short_of_the_subspace(monkeypatch):
-    monkeypatch.setattr(subspaces, "_shift_rank", lambda p, q, N: totient(q) - (q == N))
-    with pytest.raises(subspaces.InternalError):
+    # the span facts come from the divisor bank's exact count: a bank whose
+    # q = 3 shifts fall short of V_3 (bins 10, 20 share residue 0 mod 10) is not tight
+    short = RamanujanFilterBank(30, tuple(Channel(q, 3) for q in divisors(30).divisors))
+    assert subspaces._shift_rank(3, 3, 30) < totient(3)
+    monkeypatch.setattr(subspaces, "uniform_bank", lambda N, p: short)
+    with pytest.raises(PreconditionError, match="not tight"):
         fusion_frame_check(1, 30)
 
 
