@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .numtheory import _bin_owners, _shift_rank, divisors, ramanujan_sum
+from .numtheory import _bin_owners, divisors, ramanujan_sum
 
 __all__ = [
     "BinMap",
@@ -38,6 +38,11 @@ __all__ = [
 ]
 
 
+# τ: a tight bank's survivors of erasures are a frame iff λ_min > τ·λ_max of A·I − Σ f fᵀ,
+# and recovery counts a direction lost where λ ≤ τ·A (notes/decisions.md, entry 15)
+_SURVIVOR_TOL = 1e-8
+
+
 def _is_int(v) -> bool:
     """Python and numpy integers; not bools, floats or strings."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
@@ -51,24 +56,21 @@ class Channel:
 
 @dataclass(frozen=True)
 class ChannelGeometry:
-    """Divisor q's shifts in an orthonormal basis U of V_q, for a uniform bank.
+    """Divisor q's real Fourier basis U of V_q, for a uniform bank.
 
     Coordinate j is the inner product with √(2/N)·cos or sin(2π·g_j·n/N) for
     a half-spectrum bin g_j that q owns (1/√N·cos at g = 0 and N/2), so U has
-    φ(q) columns.  Row k of ``rows`` is the kept shift L_{pk}c_q in U's
-    coordinates, N·w_j·(cos or sin)(2π·g_j·pk/N), for every k ∈ Z_d.
-    ``spans`` says whether those shifts span V_q, _shift_rank(p, q, N) = φ(q).
-    Then their Gram rowsᵀ·rows is exactly (N²/p)·I, the channel's share of
-    the frame operator, so every singular value is N/√p
-    (notes/decisions.md, entry 14).  Read-only.
+    φ(q) columns.  The kept shift L_{pk}c_q has coordinate
+    N·w_j·trig[sine_j, (p·k·g_j) mod N], gathered by the caller for the shifts
+    it needs; ``trig`` is the bank's one 2×N table of cos and sin of 2πn/N,
+    shared by every divisor (notes/decisions.md, entries 14 and 15).  Read-only.
     """
 
     q: int
     bins: np.ndarray  # g_j per coordinate
     sine: np.ndarray  # True where coordinate j is the sine of its bin
     w: np.ndarray  # the basis norm factor of coordinate j
-    rows: np.ndarray  # d × φ(q)
-    spans: bool
+    trig: np.ndarray  # 2 × N: cos and sin of 2πn/N
 
 
 @dataclass(frozen=True)
@@ -229,33 +231,31 @@ class RamanujanFilterBank:
     def channel_geometry(self) -> tuple[ChannelGeometry, ...]:
         """One :class:`ChannelGeometry` per divisor q of N, ascending; built once per bank.
 
-        The recovery layer selects its retained shifts from ``rows``, and a
-        channel that keeps all d of them takes the closed form where it
-        ``spans``.  Every entry is gathered from one 2×N table of cos and sin
-        of 2πn/N.  Holds N²/p doubles (notes/decisions.md, entries 9 and 14).
+        O(N) in all: the recovery layer gathers the erased shifts it factors
+        from the shared table per call (notes/decisions.md, entries 9 and 15).
 
         Raises
         ------
         PreconditionError
             If the bank is not uniform.
         """
-        N, p = self.n, self.ratio
+        N = self.n
+        self.ratio  # raises on a bank that is not uniform
         half = np.arange(N // 2 + 1)
         owner = _bin_owners(N)[: half.size]
         norm = np.where((half == 0) | (2 * half == N), 1.0 / math.sqrt(N), math.sqrt(2.0 / N))
         angle = (2.0 * np.pi / N) * np.arange(N)
         trig = np.stack([np.cos(angle), np.sin(angle)])
-        s = p * np.arange(N // p)
+        trig.flags.writeable = False  # banks are shared: see uniform_bank
         out = []
         for q in divisors(N).divisors:
             g = half[owner == q]
             bins = np.concatenate([g, g[(g != 0) & (2 * g != N)]])
             sine = np.arange(bins.size) >= g.size
             w = norm[bins]
-            rows = N * w * trig[sine.astype(int), (s[:, None] * bins) % N]
-            for a in (bins, sine, w, rows):
+            for a in (bins, sine, w):
                 a.flags.writeable = False  # banks are shared: see uniform_bank
-            out.append(ChannelGeometry(q, bins, sine, w, rows, _shift_rank(p, q, N) == bins.size))
+            out.append(ChannelGeometry(q, bins, sine, w, trig))
         return tuple(out)
 
     def tight_bound(self) -> float:

@@ -14,11 +14,13 @@ The recovery problems are linear programs over the coefficient constraints:
   signals whose coefficients vanish off a detected support set.
 
 All three split by channel: the shifts of c_q span V_q, and the V_q are
-orthogonal.  A channel whose retained shifts still span V_q is recovered by
-a φ(q)-dimensional linear solve; an ℓ1 fit over the null coordinates runs
-only when some channel's retained shifts fall short.  Denoising fits y over
-the null directions of the complement's channels, which span the membership
-subspace.  Every ℓ1 fit is :func:`~rframes.simplex.lad_fit`.
+orthogonal.  Each channel factors only its erased shifts D, because its
+kept shifts R satisfy RᵀR = A·I − DᵀD.  A channel whose retained shifts
+still span V_q is recovered by a φ(q)-dimensional linear solve; an ℓ1 fit
+over the null coordinates runs only when some channel's retained shifts
+fall short.  Denoising fits y over the null directions of the channels
+with the membership as the erased set, which span the membership subspace.
+Every ℓ1 fit is :func:`~rframes.simplex.lad_fit`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,12 @@ import numpy as np
 
 from .errors import PreconditionError, SolverError
 from .filterbank import (
+    ChannelGeometry,
     RamanujanFilterBank,
+    _SURVIVOR_TOL,
     _checked_pairs,
     _checked_signal,
+    _is_int,
     analyze,
     channel_energies,
     coefficient_rows,
@@ -139,25 +144,23 @@ def truncated_sum(x, pairs, bank: RamanujanFilterBank) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ChannelSystem:
-    """Channel q's retained coefficients as b = B·α in real Fourier coordinates.
+    """Divisor q's erased shifts against the survivors' frame operator, in real Fourier coordinates.
 
-    bins, sine and w describe the orthonormal basis U of V_q
-    (:class:`~rframes.filterbank.ChannelGeometry`).  Row s of B is a retained
-    shift, B = W·diag(sv)·vt is its SVD with vt square (φ(q)×φ(q)), and
-    t = Uᵀ·observed.  The first ``rank`` rows of vt are the directions the
-    retained shifts determine, the rest the null directions.  vt is None for
-    the identity, the closed form of a channel that keeps all d shifts and
-    spans V_q.
+    geo describes the orthonormal basis U of V_q
+    (:class:`~rframes.filterbank.ChannelGeometry`), and t = Uᵀ·observed.  On
+    a tight bank the kept rows R and the erased rows D of q satisfy
+    RᵀR = A·I − DᵀD, so the survivors' eigenvalue is lam_j = A − σ_j² on row
+    j of vt, D's right singular vectors, and A on every direction outside
+    vt's rows.  vt has no rows where no shift of q is erased, and is I
+    (lam = 0) where every one is.  lam ascends, and the first ``nulls`` rows
+    of vt, those with lam ≤ τ·A, are the directions the kept shifts miss.
     """
 
-    q: int
-    bins: np.ndarray
-    sine: np.ndarray
-    w: np.ndarray
-    sv: np.ndarray
-    vt: np.ndarray | None
+    geo: ChannelGeometry
+    vt: np.ndarray
+    lam: np.ndarray
+    nulls: int
     t: np.ndarray
-    rank: int
 
 
 def _pair_mask(bank: RamanujanFilterBank, pairs) -> np.ndarray:
@@ -168,68 +171,68 @@ def _pair_mask(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     return keep
 
 
-def _channel_systems(observed, keep, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
-    """One :class:`_ChannelSystem` per divisor q of N, for a uniform bank.
+def _channel_systems(observed, erased, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
+    """One :class:`_ChannelSystem` per divisor q of N, for a tight uniform bank.
 
-    keep is the K×d mask of the retained pairs (:func:`_pair_mask`), so the
+    erased is the K×d mask of the erased pairs (:func:`_pair_mask`), so the
     pairs are checked once by the caller, and their order does not matter:
-    each channel's rows are taken k-ascending, channel-major.  The rows
-    L_{pk}c_q lie in V_q and the V_q are orthogonal, so the coefficient
-    constraints split by channel.  B is the retained rows of the bank's
-    cached ``channel_geometry``, and one rfft of observed gives every t.  A
-    channel that keeps all d shifts and spans V_q has BᵀB = (N²/p)·I, so it
-    takes the closed form sv = N/√p, vt = I, with no SVD and no identity
-    built (notes/decisions.md, entry 14).  Every other channel with shifts
-    calls the SVD.  The rank cut s > 1e−10·max σ runs over all channels at
-    once: the singular values of the stacked rows R are the union of the
-    channels', so this is the cut of the simplex's row reduction on R.  A
-    channel that keeps fewer shifts than φ(q) takes the full SVD, because
-    the thin vt stops at the shift count and would lose null directions.
+    each divisor's erased rows are taken k-ascending, over all of q's
+    channels.  The rows L_{pk}c_q lie in V_q and the V_q are orthogonal, so
+    the coefficient constraints split by divisor, and one rfft of observed
+    gives every t.  A divisor with no shift erased, or with every one, takes
+    its closed form with no SVD.  Any other gathers its n_e erased rows
+    D = N·w·trig[sine, (p·k·g) mod N] from the bank's ``channel_geometry``
+    and takes the thin SVD of that n_e × φ(q) matrix (notes/decisions.md,
+    entry 15).
+
+    Raises
+    ------
+    PreconditionError
+        If the bank is not tight.
     """
+    A = bank.tight_bound()
+    N, p = bank.n, bank.ratio
     X = np.fft.rfft(observed)
-    d = keep.shape[1]
     qs = np.array(bank.qs)
-    spanning_sv = bank.n / math.sqrt(bank.ratio)
-    svds = []
+    out = []
     for geo in bank.channel_geometry:
-        ks = np.nonzero(keep[qs == geo.q])[1]
-        if geo.spans and ks.size == d and np.bincount(ks, minlength=d).all():  # each shift once
-            svds.append((np.full(geo.bins.size, spanning_sv), None))
-        elif ks.size:
-            svds.append(np.linalg.svd(geo.rows[ks], full_matrices=ks.size < geo.bins.size)[1:])
+        gone = erased[qs == geo.q]
+        ks = np.nonzero(gone)[1]
+        if not ks.size:
+            vt, lam = np.zeros((0, geo.bins.size)), np.zeros(0)
+        elif gone.all():
+            vt, lam = np.eye(geo.bins.size), np.zeros(geo.bins.size)
         else:
-            svds.append((np.zeros(0), np.eye(geo.bins.size)))
-    cut = 1e-10 * max((sv[0] for sv, _ in svds if sv.size), default=0.0)
-    return [
-        _ChannelSystem(geo.q, geo.bins, geo.sine, geo.w, sv, vt,
-                       t=geo.w * np.where(geo.sine, -X[geo.bins].imag, X[geo.bins].real),
-                       rank=int(np.sum(sv > cut)))
-        for geo, (sv, vt) in zip(bank.channel_geometry, svds)
-    ]
+            D = N * geo.w * geo.trig[geo.sine.astype(int), (p * ks[:, None] * geo.bins) % N]
+            _, sv, vt = np.linalg.svd(D, full_matrices=False)
+            lam = A - sv**2
+        t = geo.w * np.where(geo.sine, -X[geo.bins].imag, X[geo.bins].real)
+        out.append(_ChannelSystem(geo, vt, lam, np.count_nonzero(lam <= _SURVIVOR_TOL * A), t))
+    return out
 
 
-def _spectrum(N: int, system: _ChannelSystem, coords: np.ndarray) -> np.ndarray:
-    """rfft of U·a for each row a of coords (U the system's basis of V_q)."""
-    cos, sin = ~system.sine, system.sine
+def _spectrum(N: int, geo: ChannelGeometry, coords: np.ndarray) -> np.ndarray:
+    """rfft of U·a for each row a of coords (U the basis of V_q that geo describes)."""
+    cos, sin = ~geo.sine, geo.sine
     S = np.zeros((coords.shape[0], N // 2 + 1), dtype=complex)
-    S[:, system.bins[cos]] = coords[:, cos] / system.w[cos]
-    S[:, system.bins[sin]] -= 1j * coords[:, sin] / system.w[sin]
+    S[:, geo.bins[cos]] = coords[:, cos] / geo.w[cos]
+    S[:, geo.bins[sin]] -= 1j * coords[:, sin] / geo.w[sin]
     return S
 
 
 def _null_directions(N: int, system: _ChannelSystem) -> np.ndarray:
-    """Orthonormal N×(φ(q) − rank) basis of the part of V_q the retained shifts miss."""
-    if system.vt is None:  # the closed form spans V_q: nothing is missed
-        return np.zeros((N, 0))
-    return np.fft.irfft(_spectrum(N, system, system.vt[system.rank:]), n=N, axis=1).T
+    """Orthonormal N×nulls basis of the part of V_q the kept shifts miss."""
+    return np.fft.irfft(_spectrum(N, system.geo, system.vt[: system.nulls]), n=N, axis=1).T
 
 
 def _solve_channels(observed, pairs, bank: RamanujanFilterBank, killed=()) -> np.ndarray:
     """min ‖x′‖₁ over the x′ whose channels match observed, those in ``killed`` at zero.
 
-    Channel q's particular solution is α_q = A·(BᵀB)⁺·t on its determined
-    directions.  A killed channel is determined entirely, at zero.  When
-    every channel is determined, the answer is the particular solution x_p;
+    Channel q's particular solution is α_q = A·(RᵀR)⁺·t on its determined
+    directions, R its kept rows: t off vt's rows, (A/lam)·t on its
+    determined rows and zero on its null rows, so α_q = t where no shift is
+    erased.  A killed channel is determined entirely, at zero.  When every
+    channel is determined, the answer is the particular solution x_p;
     otherwise the feasible set is x_p + span(Z), Z the orthonormal null
     directions of the deficient channels, and the answer is x_p + Z·z, the
     residual of the least-absolute-deviations fit of x_p by −Z.
@@ -239,20 +242,19 @@ def _solve_channels(observed, pairs, bank: RamanujanFilterBank, killed=()) -> np
     N = bank.n
     X_p = np.zeros(N // 2 + 1, dtype=complex)
     null = []
-    for s in _channel_systems(observed, _pair_mask(bank, pairs), bank):
-        if s.q in killed:
+    for s in _channel_systems(observed, ~_pair_mask(bank, pairs), bank):
+        if s.geo.q in killed:
             if np.linalg.norm(s.t) > 1e-7 * np.linalg.norm(observed):
                 raise PreconditionError(
-                    f"observation has energy in channel {s.q}, outside the declared periods"
+                    f"observation has energy in channel {s.geo.q}, outside the declared periods"
                 )
             continue
-        if s.vt is None:  # the expression below with V = I
-            alpha = A * (s.t / s.sv**2)
-        else:
-            V = s.vt[: s.rank]
-            alpha = A * (V.T @ ((V @ s.t) / s.sv[: s.rank] ** 2))
-        X_p += _spectrum(N, s, alpha[None, :])[0]
-        if s.rank < s.bins.size:
+        alpha = s.t
+        if len(s.vt):  # some shift erased
+            det = s.vt[s.nulls:]
+            alpha = s.t - s.vt.T @ (s.vt @ s.t) + det.T @ ((A / s.lam[s.nulls:]) * (det @ s.t))
+        X_p += _spectrum(N, s.geo, alpha[None, :])[0]
+        if s.nulls:
             null.append(_null_directions(N, s))
     x_p = np.fft.irfft(X_p, n=N)
     if not null:
@@ -289,14 +291,17 @@ def recover_missing_periodic(
     Raises
     ------
     PreconditionError
-        If a period does not divide N, or the observation carries energy
-        (above 1e−7 relative) in a channel outside ``periods``.
+        If periods is a string, or a period is not an integer divisor of N
+        (floats and bools are refused, not truncated), or the observation
+        carries energy (above 1e−7 relative) in a channel outside ``periods``.
     """
     prof = divisors(bank.n)
-    periods = sorted(set(int(q) for q in periods))
+    if isinstance(periods, str):
+        raise PreconditionError(f"periods {periods!r} is a string, not a list of divisors")
+    periods = list(periods)
     for q in periods:
-        if q not in prof.divisors:
-            raise PreconditionError(f"period {q} is not a divisor of N={bank.n}")
+        if not _is_int(q) or q not in prof.divisors:
+            raise PreconditionError(f"period {q!r} is not an integer divisor of N={bank.n}")
     killed = {q for q in prof.divisors if q not in periods}
     return _solve_channels(observed, pairs, bank, killed)
 
@@ -308,24 +313,24 @@ def recover_missing_periodic(
 def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     """Orthonormal basis (columns) of {v : ⟨v, f_j⟩ = 0 for every pair j ∉ pairs}.
 
-    Built channel by channel from the complement's pairs, as recovery builds
-    its null coordinates: the complement rows of channel q lie in V_q and
-    the V_q are orthogonal, so the subspace is the union over q of
-    :func:`_null_directions` of q's complement system.  The complement is
-    the negated K×d mask of the membership, which is checked once.  A
-    channel whose complement holds every shift adds nothing where its
-    shifts span V_q, by the closed form with no SVD; one with no complement
-    shift adds all φ(q) of its real Fourier directions, and every other
-    channel takes the per-channel SVD (on a bank that is not tight, also a
-    full channel that falls short of V_q).  The rank cut is the global
-    1e−10·σ_max: the channels' singular values are exactly those of the
-    complement's stacked coefficient rows.
+    Built channel by channel, as recovery builds its null coordinates, with
+    the membership as the erased set: the complement rows of divisor q lie
+    in V_q and the V_q are orthogonal, so the subspace is the union over q
+    of :func:`_null_directions` of q's system.  A divisor with no member
+    adds nothing, and one whose every shift is a member adds all φ(q) of
+    its real Fourier directions, both with no SVD; any other takes the thin
+    SVD of its member rows (notes/decisions.md, entry 15).
+
+    Raises
+    ------
+    PreconditionError
+        If the bank is not uniform and tight, a pair is malformed, or the
+        subspace is trivial.
     """
-    complement = ~_pair_mask(bank, pairs)
     null = [
         _null_directions(bank.n, s)
-        for s in _channel_systems(np.zeros(bank.n), complement, bank)
-        if s.rank < s.bins.size
+        for s in _channel_systems(np.zeros(bank.n), _pair_mask(bank, pairs), bank)
+        if s.nulls
     ]
     if not null:
         raise PreconditionError(

@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .filterbank import (
-    Channel, RamanujanFilterBank, _checked_pairs, _checked_signal, _is_int, _real_vector,
-    coefficient_rows, uniform_bank,
+    _SURVIVOR_TOL, Channel, RamanujanFilterBank, _checked_pairs, _checked_signal, _is_int,
+    _real_vector, coefficient_rows, uniform_bank,
 )
 from .numtheory import _bin_owners, _factorize, _shift_rank, divisors, totient
 
@@ -163,7 +163,15 @@ def rank_Q(p: int, q: int, N: int) -> int:
     p must be a prime divisor of N.  The rank is φ(q) unless p | q and p ≤ q,
     in which case the stride aliases the shifts down to φ(q/p) — the defect
     that the non-uniform construction repairs.
+
+    Raises
+    ------
+    PreconditionError
+        If p, q or N is not an integer (floats and bools are refused), p is
+        not a prime divisor of N, or q does not divide N.
     """
+    if not (_is_int(p) and _is_int(q) and _is_int(N)) or min(p, q, N) < 1:
+        raise PreconditionError(f"rank_Q needs positive integers, got p={p!r}, q={q!r}, N={N!r}")
     if _factorize(p) != {p: 1}:
         raise PreconditionError(f"stride p={p} must be prime")
     if N % p:
@@ -320,7 +328,8 @@ def robust_to_erasures(p: int, N: int, erased) -> bool:
 
     Works on tight configurations, where the survivors' frame operator is
     A·I − Σ_erased f fᵀ; the survivors form a frame iff its smallest
-    eigenvalue stays above 1e−8 times its largest.
+    eigenvalue stays above τ = 1e−8 times its largest, the tolerance at
+    which recovery counts a direction lost.
 
     Parameters
     ----------
@@ -328,7 +337,7 @@ def robust_to_erasures(p: int, N: int, erased) -> bool:
         Shift index k ∈ Z_{N/p} and 0-based channel index i.
     """
     lo, hi = _survivor_bounds(uniform_bank(N, p), erased)
-    return bool(lo.min() > 1e-8 * hi.max())
+    return bool(lo.min() > _SURVIVOR_TOL * hi.max())
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +378,15 @@ def fusion_frame_check(p: int, N: int, draws: int = 20, seed: int = 0) -> Fusion
     Raises
     ------
     PreconditionError
-        If the divisor bank at stride p is not tight, or draws is not an
-        integer ≥ 1 (bools and floats are refused).
+        If the divisor bank at stride p is not tight, draws is not an
+        integer ≥ 1 or seed not an integer ≥ 0 (bools and floats are refused).
     """
     bank = uniform_bank(N, p)
     bank.tight_bound()
     if not _is_int(draws) or draws < 1:
         raise PreconditionError(f"need an integer count of draws >= 1, got {draws!r}")
+    if not _is_int(seed) or seed < 0:
+        raise PreconditionError(f"need an integer seed >= 0, got {seed!r}")
     qs = bank.qs
     owns = (_bin_owners(N)[:, None] == np.array(qs)).astype(float)  # bin × channel
     owners = owns.sum(axis=1)
@@ -420,7 +431,8 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
         One collection of shift indices k per channel, aligned with the
         ascending divisor order; at most one entry each (any tight case) or
         two entries each (requires N−1 ≥ 2φ(N) for p=1, d−1 ≥ 2φ(N) for p=2;
-        equality is accepted and flagged as borderline).
+        equality is accepted and flagged as borderline).  Each k must be an
+        integer: floats, strings and bools are refused, not truncated.
     """
     bank = uniform_bank(N, p)
     K = len(bank.channels)
@@ -428,7 +440,7 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
         raise PreconditionError(
             f"need one erased set per channel ({K}), got {len(erased_sets)}"
         )
-    sets = [[int(k) for k in s] for s in erased_sets]
+    sets = [list(s) for s in erased_sets]  # _survivor_bounds checks each k
     lmax = max(map(len, sets), default=0)
     borderline = False
     if lmax > 2:
@@ -446,7 +458,7 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
     A = bank.tight_bound()
     return FusionErasureReport(
         p=p, n=N, a_f=float(lo.min()) / A, b_f=float(hi.max()) / A,
-        frame_flag=bool(lo.min() > 1e-8 * hi.max()),
+        frame_flag=bool(lo.min() > _SURVIVOR_TOL * hi.max()),
         per_channel_lower=tuple(lo.tolist()),
         bound_ok=True,
         hypothesis_borderline=borderline,

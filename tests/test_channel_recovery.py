@@ -6,6 +6,7 @@ and HiGHS when scipy imports.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rframes import (
     frame_report,
     recover_missing,
     recover_missing_periodic,
+    robust_to_erasures,
     totient,
     truncated_sum,
     uniform_bank,
@@ -36,9 +38,9 @@ from rframes.experiments import (
     table1_rows,
 )
 from rframes.io import write_pairs, write_signal
-from rframes.numtheory import _shift_rank
 from rframes.recovery import _channel_systems, _null_directions, _pair_mask, coefficient_rows
 from rframes.simplex import solve_l1_lp
+from rframes.subspaces import _survivor_bounds
 
 
 def _drop(bank, fraction, draw):
@@ -49,9 +51,12 @@ def _drop(bank, fraction, draw):
     return [pr for j, pr in enumerate(pairs) if j not in gone]
 
 
+def _systems(bank, retained):
+    return _channel_systems(np.zeros(bank.n), ~_pair_mask(bank, retained), bank)
+
+
 def _null_dims(bank, retained):
-    return {s.q: s.bins.size - s.rank
-            for s in _channel_systems(np.zeros(bank.n), _pair_mask(bank, retained), bank)}
+    return {s.geo.q: s.nulls for s in _systems(bank, retained)}
 
 
 @pytest.mark.parametrize("N,draw", [(105, 1), (120, 0), (150, 0), (150, 2),
@@ -135,11 +140,12 @@ def test_null_dimensions_match_the_shift_rank_deficit():
                 for _, i in retained:
                     shifts[bank.qs[i]] += 1
                 Z = []
-                for s in _channel_systems(np.zeros(N), _pair_mask(bank, retained), bank):
+                for s in _systems(bank, retained):
                     Zq = _null_directions(N, s)
-                    assert Zq.shape == (N, want[s.q]), (N, p, fraction, s.q)
+                    q = s.geo.q
+                    assert Zq.shape == (N, want[q]), (N, p, fraction, q)
                     Z.append(Zq)
-                    short += shifts[s.q] < totient(s.q)
+                    short += shifts[q] < totient(q)
                 Z = np.hstack(Z)
                 R = coefficient_rows(bank, retained)
                 orth = np.abs(Z.T @ Z - np.eye(Z.shape[1])).max(initial=0.0)
@@ -192,6 +198,19 @@ def test_periodic_rejects_energy_in_a_killed_channel():
     assert np.abs(xhat - x).max() < 1e-12
 
 
+def test_periodic_refuses_periods_that_are_not_integers():
+    # 5.5 used to act as 5, True as period 1, and the string '57' as (5, 7)
+    bank, x = _off_period_signal()
+    retained = all_pairs(bank)[3:]
+    observed = truncated_sum(x, retained, bank)
+    for periods in ((2.5, 3, 5), (2, 3.0, 5), (True, 2, 3, 5), ("2", 3, 5), "235"):
+        with pytest.raises(PreconditionError, match="period"):
+            recover_missing_periodic(observed, retained, bank, periods)
+    want = recover_missing_periodic(observed, retained, bank, (2, 3, 5))
+    got = recover_missing_periodic(observed, retained, bank, np.array([5, 3, 2, 3]))
+    assert np.array_equal(got, want)
+
+
 def test_cli_exits_2_on_energy_in_a_killed_channel(tmp_path, capsys):
     _, x = _off_period_signal()
     sig = str(tmp_path / "x.csv")
@@ -208,17 +227,23 @@ def test_cli_exits_2_on_energy_in_a_killed_channel(tmp_path, capsys):
 # ROADMAP item 2's standing instances, on its signal L_3 of the sparse top
 # channel (optimum 16): the split-variable simplex ran (210, 2) to its cap
 STANDING = ((210, 1, 0.8, 2), (330, 1, 0.8, 4), (462, 1, 0.8, 0))
+# a bank that lists every divisor twice: tight with A = 2N²/p, and each
+# divisor's erased rows are gathered over both of its channels
+TWICE = ((90, 2, 0.6, 5),)
 
 
 @pytest.mark.parametrize("N,p,fraction,draw", [(30, 1, 0.8, 0), (70, 2, 0.5, 1),
                                                (120, 1, 0.1, 0), (120, 1, 0.8, 0),
                                                (210, 1, 0.8, 0), (210, 2, 0.1, 2),
-                                               *STANDING])
+                                               *STANDING, *TWICE])
 def test_recovery_matches_highs(N, p, fraction, draw):
     # linear instances (10% dropped) and ones whose ℓ1 fit runs on the null
     # coordinates (13, 23, 34, 53 and 98 of them at 80% dropped)
     optimize = pytest.importorskip("scipy.optimize")
     bank = uniform_bank(N, p)
+    if (N, p, fraction, draw) in TWICE:
+        bank = RamanujanFilterBank(N, bank.channels * 2)
+        assert bank.tight_bound() == 2 * N * N / p
     retained = _drop(bank, fraction, draw)
     if (N, p, fraction, draw) in STANDING:
         x = np.roll(sparse_top_channel(N), 3)
@@ -235,12 +260,20 @@ def test_recovery_matches_highs(N, p, fraction, draw):
 
 
 # ---------------------------------------------------------------------------
-# the bank's cached channel geometry
+# the bank's cached channel geometry and the erased-row engine
+
+
+def _gathered_rows(bank, g):
+    """Every kept shift of divisor g.q in its real Fourier coordinates, from the shared table."""
+    N, p = bank.n, bank.ratio
+    ks = np.arange(N // p)
+    return N * g.w * g.trig[g.sine.astype(int), (p * ks[:, None] * g.bins) % N]
 
 
 def test_channel_geometry_maps_back_to_the_shifts():
-    # U's columns from the cached bins, sine flags and weights: rows·Uᵀ must
-    # give back every kept shift, as coefficient_rows and the trig sums build it
+    # U's columns from the cached bins, sine flags and weights: the gathered
+    # rows times Uᵀ must give back every kept shift, as coefficient_rows and
+    # the trig sums build it
     checked = 0
     for N in (30, 70, 126):
         for p in (1, 2):
@@ -255,64 +288,48 @@ def test_channel_geometry_maps_back_to_the_shifts():
                 assert np.abs(U.T @ U - np.eye(totient(g.q))).max() <= 1e-12
                 trig = np.array([np.roll(trig_ramanujan(g.q, N), p * k) for k in range(d)])
                 scale = np.abs(trig).max()
-                shifts = g.rows @ U.T
+                rows = _gathered_rows(bank, g)
+                shifts = rows @ U.T
                 assert np.abs(shifts - trig).max() <= 1e-12 * scale, (N, p, g.q)
                 lib = coefficient_rows(bank, [(k, i) for k in range(d)])
                 assert np.abs(shifts - lib).max() <= 1e-12 * scale, (N, p, g.q)
                 # the shifts span V_q, so every singular value of the rows is N/√p
-                assert g.spans
-                sv = np.linalg.svd(g.rows, compute_uv=False)
+                sv = np.linalg.svd(rows, compute_uv=False)
                 assert np.abs(sv - N / np.sqrt(p)).max() <= 1e-12 * sv[0]
             checked += 1
     assert checked >= 4
 
 
 def test_channel_geometry_is_built_once_and_read_only():
+    # O(N) in all: per divisor φ(q) bins, flags and weights, and one shared
+    # 2×N table of cos and sin
     bank = uniform_bank(30, 1)
     geometry = bank.channel_geometry
     assert uniform_bank(30, 1).channel_geometry is geometry
+    assert geometry[0].trig.shape == (2, 30)
+    assert all(g.trig is geometry[0].trig for g in geometry)
     for g in geometry:
-        for name in ("bins", "sine", "w", "rows"):
+        for name in ("bins", "sine", "w", "trig"):
             a = getattr(g, name)
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = a[(0,) * a.ndim]
         with pytest.raises(AttributeError):
-            g.rows = np.zeros_like(g.rows)
+            g.trig = np.zeros_like(g.trig)
     with pytest.raises(PreconditionError):
         RamanujanFilterBank(6, (Channel(1, 1), Channel(2, 2))).channel_geometry
 
 
-def test_a_second_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
-    bank = uniform_bank(70, 2)
-    d = 35
-    # channels 1 and 3 lose five shifts, 6 loses them all, the other five keep every shift
-    gone = {(k, i) for i in (1, 3) for k in range(5)} | {(k, 6) for k in range(d)}
-    retained = [pr for pr in all_pairs(bank) if pr not in gone]
-    x = periodic_signal(70, (5, 7), seed=0)
-    observed = truncated_sum(x, retained, bank)
-    first = recover_missing(observed, retained, bank)
-    real_svd, calls = np.linalg.svd, []
-
-    def counting_svd(a, *args, **kwargs):
-        calls.append(a.shape)
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    second = recover_missing(observed, retained, bank)
-    assert calls == [(d - 5, totient(2)), (d - 5, totient(7))]
-    assert np.array_equal(first, second)
-
-
-def test_a_first_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
-    # a fresh bank derives its geometry with no SVD: the channels that keep
-    # every shift and span V_q take the closed form BᵀB = (N²/p)·I
+def test_recovery_takes_the_svd_only_on_the_erased_rows_of_partial_channels(monkeypatch):
+    # channels 1 and 3 (q = 2 and 7) lose five shifts and 6 (q = 35) loses
+    # all of them: each partial channel factors its five erased rows, the
+    # whole and the untouched channels take their closed forms, first call
+    # on a fresh bank or not
     bank = RamanujanFilterBank(70, tuple(Channel(q, 2) for q in uniform_bank(70, 2).qs))
     d = 35
     gone = {(k, i) for i in (1, 3) for k in range(5)} | {(k, 6) for k in range(d)}
     retained = [pr for pr in all_pairs(bank) if pr not in gone]
     x = periodic_signal(70, (5, 7), seed=0)
     observed = truncated_sum(x, retained, bank)
-    want = recover_missing(observed, retained, uniform_bank(70, 2))
     real_svd, calls = np.linalg.svd, []
 
     def counting_svd(a, *args, **kwargs):
@@ -320,15 +337,70 @@ def test_a_first_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    got = recover_missing(observed, retained, bank)
-    assert calls == [(d - 5, totient(2)), (d - 5, totient(7))]
-    assert np.array_equal(got, want)
+    for want in (recover_missing(observed, retained, uniform_bank(70, 2)), None):
+        calls.clear()
+        got = recover_missing(observed, retained, bank)
+        assert calls == [(5, totient(2)), (5, totient(7))]
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+def test_recovery_fits_exactly_where_the_erasures_leave_no_frame(monkeypatch):
+    # robust_to_erasures reads the survivors' eigenvalues from the n×n Gram
+    # N·c_q(p(k − k′)) of each channel's erased shifts, recovery from the SVD
+    # of the same shifts' rows D in V_q's real Fourier basis: the ℓ1 fit runs
+    # iff some channel loses a direction, and A − max σ_D² is λ_min
+    real_fit, fits = recovery.lad_fit, []
+
+    def counting_fit(B, y):
+        fits.append(B.shape)
+        return real_fit(B, y)
+
+    monkeypatch.setattr(recovery, "lad_fit", counting_fit)
+    seen, checked = set(), 0
+    for N, p in ((30, 1), (42, 2), (70, 1), (70, 2), (126, 2), (210, 1)):
+        bank = uniform_bank(N, p)
+        A = bank.tight_bound()
+        pairs = all_pairs(bank)
+        for draw, fraction in enumerate((0.02, 0.05, 0.1, 0.3, 0.6, 0.95)):
+            retained = _drop(bank, fraction, N + draw)
+            erased = sorted(set(pairs) - set(retained))
+            robust = robust_to_erasures(p, N, erased)
+            fits.clear()
+            recover_missing(np.zeros(N), retained, bank)
+            assert len(fits) == (not robust), (N, p, fraction)
+            lo, _ = _survivor_bounds(bank, erased)
+            systems = _systems(bank, retained)
+            least = np.array([s.lam[0] if s.lam.size else A for s in systems])
+            assert np.abs(least - lo).max() <= 1e-9 * A, (N, p, fraction)
+            seen.add(robust)
+            checked += 1
+    assert checked == 36 and seen == {True, False}
+
+
+def test_a_first_recovery_holds_no_per_bank_shift_table():
+    # a fresh (2310, 1) bank with 10% of its coefficients dropped: the first
+    # recovery gathers each divisor's erased rows per call, so its traced
+    # peak stays below the N²/p doubles (40.7 MiB) of a table of every kept shift
+    N = 2310
+    bank = RamanujanFilterBank(N, tuple(Channel(q, 1) for q in divisors(N).divisors))
+    retained = _drop(bank, 0.1, 0)
+    x = np.roll(sparse_top_channel(N), 3)
+    observed = truncated_sum(x, retained, bank)
+    tracemalloc.start()
+    try:
+        xhat = recover_missing(observed, retained, bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < N * N * 8, peak / 2**20
+    assert np.abs(xhat - x).max() <= 1e-9 * np.abs(x).max()
 
 
 def test_geometry_of_every_tight_bank_has_the_closed_form_gram():
-    # a tight bank spans every V_q, and its rows' Gram is the channel's share
-    # (N²/p)·I of the frame operator; where a bank is not a frame, spans
-    # follows the exact shift rank channel by channel
+    # a tight bank spans every V_q, and the Gram of a divisor's d gathered
+    # rows is the channel's share (N²/p)·I of the frame operator: the
+    # identity RᵀR = A·I − DᵀD that recovery factors rests on it
     tight = 0
     for N in range(1, 121):
         for p in divisors(N).divisors:
@@ -336,15 +408,11 @@ def test_geometry_of_every_tight_bank_has_the_closed_form_gram():
             if bank.frame_bounds is None or bank.frame_bounds[0] != bank.frame_bounds[1]:
                 continue
             for g in bank.channel_geometry:
-                assert g.spans, (N, p, g.q)
-                gram = g.rows.T @ g.rows
+                rows = _gathered_rows(bank, g)
+                gram = rows.T @ rows
                 assert np.abs(gram - N * N / p * np.eye(g.bins.size)).max() <= 1e-12 * N * N, (N, p, g.q)
             tight += 1
     assert tight == 120 + 30  # p = 1 for every N, and p = 2 for N = 2·odd
-    for N in (12, 60):
-        spans = [g.spans for g in uniform_bank(N, 2).channel_geometry]
-        assert spans == [_shift_rank(2, q, N) == totient(q) for q in divisors(N).divisors]
-        assert not all(spans)
 
 
 def test_shuffled_pairs_recover_the_same_signal():

@@ -268,9 +268,9 @@ def _mask_basis(q: int, N: int) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def _memberships():
-    """Whole-channel and seeded sparse memberships, N ≤ 60 and p ∈ {1, 2}."""
-    for N in (6, 12, 18, 30, 42, 60):
+def _memberships(Ns=(6, 12, 18, 30, 42, 60)):
+    """Whole-channel and seeded sparse memberships at each N, p ∈ {1, 2}."""
+    for N in Ns:
         for p in (1, 2):
             bank = uniform_bank(N, p)
             pairs = all_pairs(bank)
@@ -282,18 +282,21 @@ def _memberships():
             for fraction in (0.2, 0.6, 0.9):
                 size = int(fraction * len(pairs))
                 yield bank, [pairs[j] for j in rng.choice(len(pairs), size=size, replace=False)]
-    # six complement rows against N = 12: a thin SVD would stop at 5 columns
-    bank = uniform_bank(12, 2)
-    yield bank, [pr for pr in all_pairs(bank) if bank.qs[pr[1]] != 1]
 
 
 def test_membership_null_basis_against_the_dft_masks():
     # channel i's complement rows lie in V_q, so the null space is the sum over
     # channels of V_q minus their span: its dimension comes from trig-sum shifts
-    # in the DFT-mask basis, and must equal N − rank from the full SVD
-    tall = wide = 0
+    # in the DFT-mask basis, and must equal N − rank from the full SVD; the
+    # banks that are not tight, (12, 2) and (60, 2), are refused
+    tall = wide = refused = 0
     for bank, membership in _memberships():
         N, p = bank.n, bank.ratio
+        if not frame_report(bank).tight:
+            with pytest.raises(PreconditionError, match="not tight"):
+                membership_null_basis(bank, membership)
+            refused += 1
+            continue
         keep = set(membership)
         complement = [(k, i) for k, i in all_pairs(bank) if (k, i) not in keep]
         rows = np.array([np.roll(trig_ramanujan(bank.qs[i], N), p * k)
@@ -319,7 +322,7 @@ def test_membership_null_basis_against_the_dft_masks():
             assert np.isclose(np.linalg.norm(_mask_basis(q, N).T @ B) ** 2, want, atol=1e-8)
         tall += len(complement) >= N
         wide += len(complement) < N
-    assert tall >= 20 and wide >= 10
+    assert tall >= 20 and wide >= 10 and refused == 10
 
 
 def _svd_null_basis(bank, membership):
@@ -348,13 +351,20 @@ def _denoise_memberships():
 
 def test_membership_null_basis_spans_the_svd_null_space():
     # differential: the per-channel basis and the null space of the stacked
-    # complement rows are one subspace (equal orthogonal projectors); the
-    # last bank lacks the divisor 2, so all of V_2 lies in the null space
-    checked = 0
-    cases = [(bank, m) for bank, m, _ in _denoise_memberships()] + list(_memberships())
+    # complement rows are one subspace (equal orthogonal projectors) on every
+    # tight bank; the banks that are not tight are refused, among them one
+    # that lacks the divisor 2 and so is not a frame
+    checked = refused = 0
+    cases = [(bank, m) for bank, m, _ in _denoise_memberships()]
+    cases += list(_memberships()) + list(_memberships((66, 90)))
     gappy = RamanujanFilterBank(6, (Channel(1, 1), Channel(3, 1), Channel(6, 1)))
     cases.append((gappy, [pr for pr in all_pairs(gappy) if pr[1] == 2][:3]))
     for bank, membership in cases:
+        if bank.frame_bounds is None or bank.frame_bounds[0] != bank.frame_bounds[1]:
+            with pytest.raises(PreconditionError, match="not tight"):
+                membership_null_basis(bank, membership)
+            refused += 1
+            continue
         want = _svd_null_basis(bank, membership)
         if not want.shape[1]:
             continue
@@ -362,7 +372,7 @@ def test_membership_null_basis_spans_the_svd_null_space():
         assert B.shape == want.shape, (bank.n, bank.ratio, len(membership))
         assert np.abs(B @ B.T - want @ want.T).max() < 1e-9, (bank.n, bank.ratio, len(membership))
         checked += 1
-    assert checked >= 80
+    assert checked >= 80 and refused == 11
 
 
 def test_denoise_matches_highs():

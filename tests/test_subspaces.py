@@ -152,6 +152,15 @@ def test_rank_formula_spot_checks():
         rank_Q(5, 5, 12)  # and divide N
 
 
+def test_rank_q_refuses_arguments_that_are_not_integers():
+    # a float or bool argument is refused, not read as the integer it equals
+    for args in ((3, 3.0, 12), (3.0, 3, 12), (3, 3, 12.0), (3, True, 12), (True, 3, 12),
+                 (3, "3", 12), (3, 0, 12), (3, -3, 12)):
+        with pytest.raises(PreconditionError):
+            rank_Q(*args)
+    assert rank_Q(np.int64(3), np.int64(6), np.int64(12)) == rank_Q(3, 6, 12) == 1
+
+
 def test_aliasing_divisor_sets():
     assert aliasing_divisors(3, 12) == (3, 6, 12)
     assert aliasing_divisors(2, 12) == (4, 12)
@@ -292,7 +301,7 @@ def test_owner_counts_take_no_gcd_after_the_first_round(monkeypatch):
             build_nonuniform(3, 2, N), build_nonuniform(7, 1, N),
             fresh.frame_bounds,
             [getattr(fresh.bin_map, a) for a in ("channel", "bins", "slots", "fold", "unfold")],
-            [g.rows for g in fresh.channel_geometry],
+            [g.bins for g in fresh.channel_geometry],
         ]
 
     first = owner_round()
@@ -417,6 +426,15 @@ def test_fusion_check_refuses_draw_counts_that_are_not_integers():
     assert fusion_frame_check(1, 30, draws=np.int64(3)) == fusion_frame_check(1, 30, draws=3)
 
 
+def test_fusion_check_refuses_seeds_that_are_not_integers():
+    # a seed numpy would refuse with its own TypeError or ValueError, or a
+    # bool it would read as 1, is a precondition failure
+    for seed in (1.5, 2.0, True, False, "1", None, -1):
+        with pytest.raises(PreconditionError, match="seed"):
+            fusion_frame_check(1, 30, seed=seed)
+    assert fusion_frame_check(1, 30, seed=np.int64(2)) == fusion_frame_check(1, 30, seed=2)
+
+
 def test_subspace_bases_build_no_bank_after_the_first_round(monkeypatch):
     # every span fact comes from the cached divisor bank: a second round
     # builds no bank and evaluates no Ramanujan sum
@@ -486,6 +504,16 @@ def test_fusion_erasure_guards():
         fusion_after_local_erasures(1, 12, [[0, 0]] + [[]] * 5)  # duplicates
     with pytest.raises(PreconditionError):
         fusion_after_local_erasures(2, 12, [[0]] * 6)  # not tight
+
+
+def test_fusion_erasures_refuse_shift_indices_that_are_not_integers():
+    # 1.5 used to erase shift 1, and '0' and True were read as shift 0 and 1
+    for k in (1.5, 1.0, "0", True, None):
+        with pytest.raises(PreconditionError):
+            fusion_after_local_erasures(1, 12, [[k]] * 6)
+    sets = [[np.int64(k)] for k in (0, 3, 5, 1, 2, 11)]
+    assert fusion_after_local_erasures(1, 12, sets) == fusion_after_local_erasures(
+        1, 12, [[0], [3], [5], [1], [2], [11]])
 
 
 def test_untouched_bank_reports_unit_bounds():
