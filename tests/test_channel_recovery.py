@@ -319,17 +319,17 @@ def test_channel_geometry_is_built_once_and_read_only():
         RamanujanFilterBank(6, (Channel(1, 1), Channel(2, 2))).channel_geometry
 
 
-def test_recovery_takes_the_svd_only_on_the_erased_rows_of_partial_channels(monkeypatch):
+def _partial_channel_erasures(bank):
     # channels 1 and 3 (q = 2 and 7) lose five shifts and 6 (q = 35) loses
-    # all of them: each partial channel factors its five erased rows, the
-    # whole and the untouched channels take their closed forms, first call
-    # on a fresh bank or not
-    bank = RamanujanFilterBank(70, tuple(Channel(q, 2) for q in uniform_bank(70, 2).qs))
+    # all of them, the other five keep every shift
     d = 35
     gone = {(k, i) for i in (1, 3) for k in range(5)} | {(k, 6) for k in range(d)}
     retained = [pr for pr in all_pairs(bank) if pr not in gone]
     x = periodic_signal(70, (5, 7), seed=0)
-    observed = truncated_sum(x, retained, bank)
+    return retained, truncated_sum(x, retained, bank)
+
+
+def _counting_svd(monkeypatch):
     real_svd, calls = np.linalg.svd, []
 
     def counting_svd(a, *args, **kwargs):
@@ -337,12 +337,31 @@ def test_recovery_takes_the_svd_only_on_the_erased_rows_of_partial_channels(monk
         return real_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    for want in (recover_missing(observed, retained, uniform_bank(70, 2)), None):
-        calls.clear()
-        got = recover_missing(observed, retained, bank)
-        assert calls == [(5, totient(2)), (5, totient(7))]
-        if want is not None:
-            assert np.array_equal(got, want)
+    return calls
+
+
+def test_a_second_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
+    # each partial channel factors its five erased rows; the whole and the
+    # untouched channels take their closed forms, on every call alike
+    bank = uniform_bank(70, 2)
+    retained, observed = _partial_channel_erasures(bank)
+    first = recover_missing(observed, retained, bank)
+    calls = _counting_svd(monkeypatch)
+    second = recover_missing(observed, retained, bank)
+    assert calls == [(5, totient(2)), (5, totient(7))]
+    assert np.array_equal(first, second)
+
+
+def test_a_first_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
+    # a fresh bank derives its geometry with no SVD and its first recovery
+    # factors only the erased rows of the partial channels
+    bank = RamanujanFilterBank(70, tuple(Channel(q, 2) for q in uniform_bank(70, 2).qs))
+    retained, observed = _partial_channel_erasures(bank)
+    want = recover_missing(observed, retained, uniform_bank(70, 2))
+    calls = _counting_svd(monkeypatch)
+    got = recover_missing(observed, retained, bank)
+    assert calls == [(5, totient(2)), (5, totient(7))]
+    assert np.array_equal(got, want)
 
 
 def test_recovery_fits_exactly_where_the_erasures_leave_no_frame(monkeypatch):
