@@ -43,8 +43,8 @@ from .filterbank import (
     coefficient_rows,
     synthesize,
 )
-from .numtheory import divisors, totient
-from .simplex import _least_distance, lad_fit
+from .numtheory import _bin_owners, divisors, totient
+from .simplex import _least_distance, _rank, lad_fit
 
 __all__ = [
     "UncertaintyReport",
@@ -357,7 +357,7 @@ def _nearest_optimum(B, y, fit) -> np.ndarray:
     N = np.eye(B.shape[1])
     if eq.any():
         _, sv, vh = np.linalg.svd(B[eq])
-        N = vh[int(np.sum(sv > 1e-10 * sv[0])):].T
+        N = vh[_rank(sv):].T
     w0 = N.T @ (B.T @ r)
     s = np.sign(u[~eq])
     rs = np.maximum(s * r[~eq], 0.0)  # a wrong sign is rounding below the fit's gap
@@ -430,10 +430,8 @@ def detect_support_set(
         raise PreconditionError(
             f"threshold_factor must lie in (0, 1), got {threshold_factor}"
         )
-    raw = channel_energies(y, bank)
-    norm = np.array(
-        [e / (bank.n * totient(ch.q)) for e, ch in zip(raw, bank.channels)]
-    )
+    phi = np.bincount(_bin_owners(bank.n))[list(bank.qs)]  # q owns exactly φ(q) bins
+    norm = channel_energies(y, bank) / (bank.n * phi)
     top = float(norm.max())
     if top <= 0.0:
         raise PreconditionError("all channel energies vanish; nothing to detect")

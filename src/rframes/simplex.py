@@ -3,12 +3,13 @@
 Standard form min cᵀx s.t. Ax = b, x ≥ 0, with Bland's anti-cycling rule.
 The recovery problems are small (a few hundred variables), heavily degenerate
 (coefficient constraint rows are far from independent), and need exact-ish
-answers — so phase 1 drops redundant rows instead of failing, the final
-answer is re-solved from the optimal basis against the original data rather
-than read off the accumulated tableau, and every solve self-certifies with a
-primal/dual feasibility + gap check before returning.  :func:`lad_fit` runs
-the least-absolute-deviations form min ‖y − Bz‖₁ on the N×k fit itself, and
-:func:`lad_fit_unique` certifies whether its fitted signal is the only optimum.
+answers — so an SVD row reduction strips dependent rows before phase 1, the
+final answer is re-solved from the optimal basis against the original data
+rather than read off the accumulated tableau, and every solve self-certifies
+with a primal/dual feasibility + gap check before returning.  :func:`lad_fit`
+runs the least-absolute-deviations form min ‖y − Bz‖₁ on the N×k fit itself,
+and :func:`lad_fit_unique` certifies whether its fitted signal is the only
+optimum.  Both simplex loops follow one pivoting discipline, :class:`_Pivots`.
 :func:`_least_distance` (NNLS-based) projects onto a polyhedron.
 """
 
@@ -24,6 +25,25 @@ __all__ = ["LpResult", "simplex_solve", "solve_l1_lp", "l1_fit", "lad_fit", "lad
 
 _PIVOT_TOL = 1e-9
 _RC_TOL = 1e-9  # reduced-cost threshold for entering variables
+_SNAP = 1e-11  # entries below this times max(1, ‖data‖∞) are exact zeros
+_RANK_CUT = 1e-10  # singular values at or below this times σ_max do not count
+_REFACTOR = 40  # rebuild the factorisation from the original data every this many pivots
+
+
+def _snap_level(v) -> float:
+    """The level 1e−11·max(1, ‖v‖∞) below which an entry scaled like v is an exact zero."""
+    return _SNAP * max(1.0, float(np.abs(v).max(initial=0.0)))
+
+
+def _rank(sv: np.ndarray, top: np.ndarray | None = None) -> int:
+    """Numerical rank: the singular values sv above 1e−10·σ_max, σ_max taken from top if given."""
+    return int(np.sum(sv > _RANK_CUT * float((sv if top is None else top).max(initial=0.0))))
+
+
+def _require_finite(**arrays) -> None:
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise PreconditionError(f"{name} has a non-finite entry")
 
 
 @dataclass(frozen=True)
@@ -34,10 +54,71 @@ class LpResult:
     objective: float
     iterations: int
     phase1_iterations: int
-    dropped_rows: tuple[int, ...]  # redundant constraint rows removed in phase 1
+    dropped_rows: tuple[int, ...]  # always (): the SVD row reduction strips dependent rows
     status: str = "optimal"
     residual: np.ndarray | None = None  # y − B·z of a fit (lad_fit)
     dual: np.ndarray | None = None  # the fit's certifying dual u (lad_fit)
+
+
+class _Pivots:
+    """The pivoting discipline of both simplex loops, :func:`_run` and :func:`lad_fit`.
+
+    Dantzig's choice (largest score) until 2·rows + 50 pivots pass without
+    descent, then Bland's (lowest label) until the next descent, which keeps
+    every degenerate plateau finite (Bland, Math. Oper. Res. 1977).  The
+    loop's ``refactor`` rebuilds its tableau or inverse from the original
+    data every _REFACTOR pivots and at the switch to Bland's rule, and once
+    more before a no-pivot verdict, so that pivot noise cannot decide one.
+    Step lengths within 1e−15 + 1e−12·t of the shortest t tie.  More than
+    2000 + 50·size pivots is a SolverError.
+    """
+
+    def __init__(self, rows: int, size: int, objective: float, refactor) -> None:
+        self.cap = 2000 + 50 * size
+        self.patience = 2 * rows + 50
+        self.refactor = refactor
+        self.best = objective
+        self.it = self.stall = 0
+        self.bland = self.repriced = False
+
+    def pick(self, cands: np.ndarray, score: np.ndarray, label: np.ndarray | None = None) -> int:
+        """The candidate of largest score or, in Bland mode, of lowest label.
+
+        score and label are indexed by candidate; without a label each
+        candidate is its own, so the first of the sorted cands is lowest.
+        """
+        if not self.bland:
+            return int(cands[np.argmax(score[cands])])
+        return int(cands[0] if label is None else cands[np.argmin(label[cands])])
+
+    @staticmethod
+    def ties(t: np.ndarray, stop: float) -> np.ndarray:
+        return np.abs(t - stop) <= 1e-15 + 1e-12 * stop
+
+    def reprice(self) -> bool:
+        """Before a no-pivot verdict: True after refactoring for one more pricing, then False."""
+        if self.repriced:
+            return False
+        self.refactor()
+        self.repriced = True
+        return True
+
+    def pivoted(self, objective) -> None:
+        """Count a pivot, refactor on schedule, then test objective() for descent."""
+        self.repriced = False
+        self.it += 1
+        if self.it > self.cap:
+            raise SolverError(f"simplex exceeded {self.cap} pivots")
+        if self.it % _REFACTOR == 0:
+            self.refactor()
+        obj = objective()
+        if obj < self.best - 1e-12 * max(1.0, abs(self.best)):
+            self.best, self.stall, self.bland = obj, 0, False
+        else:
+            self.stall += 1
+            if self.stall == self.patience:
+                self.bland = True
+                self.refactor()
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -48,31 +129,20 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-_REFACTOR = 40  # rebuild the tableau from its entry snapshot every this many pivots
+def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int) -> int:
+    """Simplex iterations on tableau T (constraint rows + RHS column) under :class:`_Pivots`.
 
-
-def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
-         max_iter: int) -> int:
-    """Simplex iterations on tableau T (constraint rows + RHS column).
-
-    Entering variable: most negative reduced cost, except while stalled on a
-    degenerate plateau, where the rule switches to Bland's
-    lowest-eligible-index choice; leaving row by minimum ratio, ties broken
-    by largest pivot magnitude (stability) or, in Bland mode, by smallest
-    basic index, which keeps every plateau escape finite.  Two habits keep
-    the heavily degenerate recovery LPs honest: the tableau is periodically
-    rebuilt from a snapshot of its entry state (accumulated pivot noise
-    would otherwise turn zero-step plateau pivots into tiny fake steps of
-    either sign), and RHS entries below noise level are snapped to exact
-    zero so degenerate ratios compare as exact ties.  An improving column
-    with no pivot row is priced again on a refactored tableau before any
-    verdict; if it persists under a cost ≥ 0, which bounds the objective
-    below, the verdict is a numerical breakdown, never "unbounded".
+    Entering variable: most negative reduced cost (Bland: lowest index);
+    leaving row by minimum ratio, ties broken by largest pivot magnitude
+    (Bland: smallest basic index).  RHS entries below the snap level are
+    set to exact zero, so degenerate ratios compare as exact ties.  An
+    improving column with no pivot row that persists after the re-price,
+    under a cost ≥ 0, which bounds the objective below, is a numerical
+    breakdown, never "unbounded".  Returns the pivot count.
     """
     m = T.shape[0]
     snapshot = T.copy()  # ground truth for refactorisation
-    bscale = max(1.0, float(np.abs(snapshot[:, -1]).max(initial=0.0)))
-    snap = 1e-11 * bscale
+    snap = _snap_level(snapshot[:, -1])
 
     def clean_rhs() -> None:
         rhs = T[:, -1]
@@ -85,32 +155,22 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
             return  # keep the running tableau; the end-of-solve checks still guard
         clean_rhs()
 
-    it = 0
-    stall = 0
-    bland = False
-    repriced = False
-    last_obj = np.inf
     cn = cost[:ncols]
     cb = cost[basis]  # kept in step with basis at every pivot
     clean_rhs()
+    piv = _Pivots(m, m + ncols, float(cb @ T[:, -1]), refactor)
     while True:
         reduced = cn - cb @ T[:, :ncols]
-        if bland:
-            eligible = np.flatnonzero(reduced < -_RC_TOL)
-            enter = int(eligible[0]) if eligible.size else -1
-        else:
-            j = int(np.argmin(reduced))
-            enter = j if reduced[j] < -_RC_TOL else -1
-        if enter < 0:
-            return it
+        eligible = np.flatnonzero(reduced < -_RC_TOL)
+        if not eligible.size:
+            return piv.it
+        enter = piv.pick(eligible, -reduced)
         col = T[:, enter]
         rows = np.flatnonzero(col > _PIVOT_TOL)  # the ratio test's eligible rows
         ratios = np.maximum(T[rows, -1], 0.0) / col[rows]
         rmin = float(ratios.min(initial=np.inf))
         if not np.isfinite(rmin):
-            if not repriced:  # the column may be pivot noise: rebuild, price again
-                refactor()
-                repriced = True
+            if piv.reprice():  # the column may be pivot noise: price it again
                 continue
             if cn.min(initial=0.0) >= 0.0:
                 raise SolverError(
@@ -118,38 +178,21 @@ def _run(T: np.ndarray, basis: list[int], cost: np.ndarray, ncols: int,
                     "but the cost is bounded below"
                 )
             raise SolverError("linear program is unbounded")
-        repriced = False
-        ties = rows[ratios <= rmin + 1e-15 + 1e-12 * rmin]
-        if bland:
-            leave = int(ties[int(np.argmin(np.asarray(basis)[ties]))])
-        else:
-            leave = int(ties[int(np.argmax(col[ties]))])
+        ties = rows[piv.ties(ratios, rmin)]
+        leave = piv.pick(ties, col, np.asarray(basis))
         _pivot(T, basis, leave, enter)
         cb[leave] = cost[enter]
         clean_rhs()
-        it += 1
-        if it > max_iter:
-            raise SolverError(f"simplex exceeded {max_iter} iterations")
-        if it % _REFACTOR == 0:
-            refactor()
-        obj = float(cb @ T[:, -1])
-        if obj < last_obj - 1e-12 * max(1.0, abs(last_obj)):
-            last_obj = obj
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall == 2 * m + 50:
-                bland = True
-                refactor()
+        piv.pivoted(lambda: float(cb @ T[:, -1]))
 
 
-def simplex_solve(c, A, b, max_iter: int | None = None) -> LpResult:
+def simplex_solve(c, A, b) -> LpResult:
     """Minimize cᵀx subject to Ax = b, x ≥ 0.
 
     The constraint rows are first rotated to an orthonormal full-row-rank
     system (SVD row reduction — same feasible set, perfectly scaled rows, and
     an infeasibility certificate when b leaves the range of A).  Raises
+    PreconditionError on mismatched shapes or a non-finite entry, and
     SolverError on infeasible or unbounded problems, and if the final basis
     fails the self-check: primal feasibility against the ORIGINAL system,
     dual feasibility, and a relative duality gap ≤ 1e−8.
@@ -162,8 +205,9 @@ def simplex_solve(c, A, b, max_iter: int | None = None) -> LpResult:
         raise PreconditionError(
             f"shape mismatch: A is {m0}x{n}, b has {b0.shape[0]}, c has {c.shape[0]}"
         )
+    _require_finite(c=c, A=A0, b=b0)
     bscale = max(1.0, float(np.abs(b0).max(initial=0.0)))
-    if c.min(initial=0.0) >= 0.0 and bscale * 1e-11 > float(np.abs(b0).max(initial=0.0)):
+    if c.min(initial=0.0) >= 0.0 and float(np.abs(b0).max(initial=0.0)) < _snap_level(b0):
         # b sits below _run's RHS snap level, so the tableau would start at b = 0 and
         # walk its degenerate vertices to the iteration cap.  x = 0 is optimal under
         # c ≥ 0: primal feasible to that level, y = 0 dual feasible, gap 0.
@@ -172,19 +216,13 @@ def simplex_solve(c, A, b, max_iter: int | None = None) -> LpResult:
 
     # row reduction: keep only the independent directions of the row space
     u, sv, vh = np.linalg.svd(A0, full_matrices=False)
-    rank = int(np.sum(sv > 1e-10 * sv[0])) if sv.size and sv[0] > 0 else 0
-    A = vh[:rank]  # orthonormal rows spanning the row space
-    b = (u[:, :rank].T @ b0) / sv[:rank] if rank else np.zeros(0)
+    m = _rank(sv)
+    A = vh[:m].copy()  # orthonormal rows spanning the row space
+    b = (u[:, :m].T @ b0) / sv[:m]
     if float(np.abs(A0 @ (A.T @ b) - b0).max(initial=0.0)) > 1e-7 * bscale:
         raise SolverError(
             "linear program is infeasible: right-hand side leaves the row space"
         )
-    m = rank
-    if max_iter is None:
-        max_iter = 2000 + 50 * (m + n)
-
-    A = A.copy()
-    b = b.copy()
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0
@@ -193,32 +231,21 @@ def simplex_solve(c, A, b, max_iter: int | None = None) -> LpResult:
     T = np.hstack([A, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    it1 = _run(T, basis, cost1, n + m, max_iter)
+    it1 = _run(T, basis, cost1, n + m)
     resid = float(cost1[basis] @ T[:, -1])
     if resid > 1e-7 * max(1.0, float(np.abs(b).max(initial=0.0))):
         raise SolverError(f"linear program is infeasible (phase-1 residual {resid:.3g})")
 
-    # drive surviving artificials out of the basis; rows that cannot pivot
-    # on any original column are redundant and get dropped
-    drop: list[int] = []
+    # drive the artificials left basic at level 0 out of the basis.  A's rows
+    # are orthonormal, so row r of B⁻¹A has 2-norm ‖B⁻ᵀe_r‖ ≥ 1/‖B‖ ≥ 1/√m and
+    # its largest entry is ≥ 1/√(m·n): every such row has a pivot.
     for r in range(m):
         if basis[r] >= n:
-            piv = int(np.argmax(np.abs(T[r, :n]))) if n else -1
-            if piv < 0 or abs(T[r, piv]) <= 1e-7:
-                drop.append(r)  # numerically zero row: redundant constraint
-            else:
-                _pivot(T, basis, r, piv)
-    if drop:
-        keep = [r for r in range(m) if r not in drop]
-        T = T[keep]
-        basis = [basis[r] for r in keep]
-        A = A[keep]
-        b = b[keep]
-        m = len(keep)
+            _pivot(T, basis, r, int(np.argmax(np.abs(T[r, :n]))))
 
     # phase 2 on the original costs, artificial columns frozen out
     T2 = np.hstack([T[:, :n], T[:, -1:]])
-    it2 = _run(T2, basis, c, n, max_iter)
+    it2 = _run(T2, basis, c, n)
 
     x = np.zeros(n)
     if m:
@@ -246,8 +273,7 @@ def simplex_solve(c, A, b, max_iter: int | None = None) -> LpResult:
         raise SolverError(f"duality gap {gap:.3g} exceeds tolerance")
     x[np.abs(x) < 1e-13 * xscale] = 0.0
     return LpResult(
-        x=x, objective=obj, iterations=it1 + it2, phase1_iterations=it1,
-        dropped_rows=tuple(drop),
+        x=x, objective=obj, iterations=it1 + it2, phase1_iterations=it1, dropped_rows=(),
     )
 
 
@@ -318,16 +344,17 @@ def lad_fit(B, y) -> LpResult:
     an exact line search: the objective is convex and piecewise linear
     along the ray, with breakpoints t_i = r_i/w_i where the residuals
     r − t·w reach zero, and the step stops at their weighted median, so one
-    step can pass several vertices.  After 2N + 50 steps without descent
-    the rule falls back to Bland's (lowest label in, nearest breakpoint
-    with the lowest row index out), which keeps degenerate plateaus
-    finite, as in :func:`_run`.
+    step can pass several vertices.  The steps follow :class:`_Pivots`
+    with rows = N: after 2N + 50 steps without descent the rule falls back
+    to Bland's (lowest label in, nearest breakpoint with the lowest row
+    index out), as in :func:`_run`.
 
     The answer is re-solved from the final basis against the original B
     and y and certified: u = s off the basis and Gᵀ-solved on it must have
     |u| ≤ 1, Bᵀu = 0 and ‖y − Bz‖₁ − yᵀu ≤ 1e−8 relative (the LP dual
     max yᵀu s.t. Bᵀu = 0, |u| ≤ 1); SolverError otherwise.  A y below the
     snap level 1e−11·max(1, ‖y‖∞) is y = 0, fitted by z = 0 without a step.
+    A non-finite entry of B or y is a PreconditionError.
     ``residual`` is y − Bz with the basis rows at exact zero; ``dual`` is u.
 
     Missing-coefficient recovery and ``denoise`` fit through here.  Where
@@ -340,13 +367,12 @@ def lad_fit(B, y) -> LpResult:
     y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != n:
         raise PreconditionError(f"y has {y.shape[0]} entries, B has {n} rows")
-    ymax = float(np.abs(y).max(initial=0.0))
-    snap = 1e-11 * max(1.0, ymax)
-    if ymax < snap:
+    _require_finite(B=B, y=y)
+    snap = _snap_level(y)
+    if float(np.abs(y).max(initial=0.0)) < snap:
         zeros = np.zeros(n)
         return LpResult(x=np.zeros(k), objective=0.0, iterations=0, phase1_iterations=0,
                         dropped_rows=(), residual=zeros, dual=zeros)
-    max_iter = 2000 + 50 * (n + k)
 
     basis = np.arange(-k, 0)  # label −k + j: coordinate z_j held at 0; label i ≥ 0: row i
     on = np.zeros(n, dtype=bool)  # rows in the basis
@@ -377,9 +403,8 @@ def lad_fit(B, y) -> LpResult:
     Ginv = np.eye(k)
     stuck = np.zeros(k, dtype=bool)  # coordinates whose release moves no residual
     r = settle(y.copy())
-    it = it1 = stall = 0
-    bland = repriced = False
-    last_obj = float(np.abs(r).sum())
+    it1 = 0
+    piv = _Pivots(n, n + k, float(np.abs(r).sum()), refactor)
     while True:
         v = Ginv.T @ (B.T @ np.where(on, 0.0, s))
         free = basis < 0
@@ -391,16 +416,13 @@ def lad_fit(B, y) -> LpResult:
             eligible = np.flatnonzero(~free & (rate > _RC_TOL))
             if not eligible.size:
                 break
-            if bland:
-                j = int(eligible[np.argmin(basis[eligible])])
-            else:
-                j = int(eligible[np.argmax(rate[eligible])])
+            j = piv.pick(eligible, rate, basis)
         delta = 1.0 if v[j] > 0 else -1.0
         d = delta * Ginv[:, j]
         w = B @ d  # residuals move as r − t·w
         cand = np.flatnonzero(~on & (s * w > _PIVOT_TOL))
         t = np.maximum(r[cand] / w[cand], 0.0)
-        if bland:
+        if piv.bland:
             stop = float(t.min(initial=np.inf))
             passed = cand[:0]
         else:  # the slope −rate[j] rises by 2|w_i| at each breakpoint passed
@@ -413,20 +435,14 @@ def lad_fit(B, y) -> LpResult:
             if basis[j] < 0 and rate[j] <= _RC_TOL:
                 stuck[j] = True  # a null direction of B: z_j stays at 0
                 continue
-            if not repriced:  # the direction may be noise in G⁻¹: rebuild, price again
-                refactor()
-                repriced = True
+            if piv.reprice():  # the direction may be noise in G⁻¹: price it again
                 continue
             raise SolverError(
                 "numerical breakdown: no breakpoint ends a descent ray, "
                 "but an ℓ1 fit is bounded below"
             )
-        repriced = False
-        ties = cand[np.abs(t - stop) <= 1e-15 + 1e-12 * stop]
-        if bland:
-            enter = int(ties.min())
-        else:
-            enter = int(ties[np.argmax(np.abs(w[ties]))])
+        ties = cand[piv.ties(t, stop)]
+        enter = piv.pick(ties, np.abs(w))
         if basis[j] >= 0:
             on[basis[j]] = False
             s[basis[j]] = -delta
@@ -440,21 +456,7 @@ def lad_fit(B, y) -> LpResult:
         Ginv -= np.outer(col, row / (row[j] + 1.0))
         basis[j] = enter
         r = settle(r - stop * w)
-        it += 1
-        if it > max_iter:
-            raise SolverError(f"ℓ1 fit exceeded {max_iter} iterations")
-        if it % _REFACTOR == 0:
-            refactor()
-        obj = float(np.abs(r).sum())
-        if obj < last_obj - 1e-12 * max(1.0, last_obj):
-            last_obj = obj
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall == 2 * n + 50:
-                bland = True
-                refactor()
+        piv.pivoted(lambda: float(np.abs(r).sum()))
 
     G, h = system()
     rows = basis >= 0
@@ -476,7 +478,7 @@ def lad_fit(B, y) -> LpResult:
     if gap > 1e-8 * max(1.0, obj):
         raise SolverError(f"duality gap {gap:.3g} exceeds tolerance")
     r[on] = 0.0
-    return LpResult(x=z, objective=obj, iterations=it, phase1_iterations=it1,
+    return LpResult(x=z, objective=obj, iterations=piv.it, phase1_iterations=it1,
                     dropped_rows=(), residual=r, dual=u)
 
 
@@ -505,13 +507,12 @@ def lad_fit_unique(B, y, fit: LpResult) -> bool:
             f"B has {B.shape[0]} rows, y {y.shape[0]} entries and the fit's "
             f"residual {r.shape[0]}"
         )
-    zero = np.abs(r) <= 1e-11 * max(1.0, float(np.abs(y).max(initial=0.0)))
+    zero = np.abs(r) <= _snap_level(y)
     BZ = B[zero]
     m = BZ.shape[0]
     sv = np.linalg.svd(B, compute_uv=False)
-    cut = 1e-10 * float(sv.max(initial=0.0))
     sv_z = np.linalg.svd(BZ, compute_uv=False) if m else sv[:0]
-    if np.sum(sv_z > cut) < np.sum(sv > cut):
+    if _rank(sv_z, top=sv) < _rank(sv):
         return False
     if not m:
         return True  # rank(B) = 0: the fitted signal is 0 for every z

@@ -309,6 +309,7 @@ def _survivor_bounds(bank: RamanujanFilterBank, erased) -> tuple[np.ndarray, np.
         erased_by_channel[i].append(k)
     lo = np.full(len(bank.channels), A)
     hi = lo.copy()
+    phi = np.bincount(_bin_owners(N))  # q owns exactly φ(q) bins
     for i, (ch, ks) in enumerate(zip(bank.channels, erased_by_channel)):
         if not ks:
             continue
@@ -318,8 +319,8 @@ def _survivor_bounds(bank: RamanujanFilterBank, erased) -> tuple[np.ndarray, np.
             k = np.array(ks)
             mu = np.linalg.eigvalsh(N * bank.filter_matrix[i, ch.p * (k[:, None] - k) % N])
         lo[i] = A - mu[-1]
-        if len(ks) >= totient(ch.q):
-            hi[i] = A - mu[len(ks) - totient(ch.q)]
+        if len(ks) >= phi[ch.q]:
+            hi[i] = A - mu[len(ks) - phi[ch.q]]
     return lo, hi
 
 

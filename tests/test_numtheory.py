@@ -246,6 +246,9 @@ def test_bin_owners_match_the_dft_masks():
             assert not want[mask].any(), (N, q)  # one owner per bin
             want[mask] = q
         assert np.array_equal(owners, want), N
+        # q owns exactly φ(q) bins: the φ that erasure bounds and detection read
+        counts = np.bincount(owners)
+        assert all(counts[q] == totient(q) for q in divisors(N).divisors), N
         assert _bin_owners(N) is owners
         assert not owners.flags.writeable
         with pytest.raises(ValueError):

@@ -72,14 +72,56 @@ def test_degenerate_vertices():
     assert np.isclose(res.objective, -2.0, atol=1e-9)
 
 
-def test_redundant_rows_are_harmless():
+def test_redundant_rows_are_harmless(monkeypatch):
     # row 2 = 2 × row 1: the row reduction strips it before phase 1,
-    # so the solve succeeds and nothing reaches the drive-out fallback
+    # so the solve succeeds and no row is dropped
     A = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 0.0]])
     b = np.array([1.0, 2.0, 0.25])
     res = simplex_solve(np.array([1.0, 1.0]), A, b)
     assert np.isclose(res.objective, 1.0, atol=1e-9)
     assert res.dropped_rows == ()
+    # seeded LPs with duplicated, scaled and summed rows, against HiGHS; every
+    # artificial left basic after phase 1 pivots out on an entry ≥ 1/√(m·n),
+    # m the rank of A (its rows are orthonormal after the row reduction)
+    optimize = pytest.importorskip("scipy.optimize")
+    outside, real_run, real_pivot = [True], simplex._run, simplex._pivot
+
+    def run(*args):
+        outside[0] = False
+        try:
+            return real_run(*args)
+        finally:
+            outside[0] = True
+
+    def pivot(T, basis, row, col):
+        if outside[0]:  # a drive-out pivot, between the two phases
+            entries.append(abs(T[row, col]))
+        real_pivot(T, basis, row, col)
+
+    monkeypatch.setattr(simplex, "_run", run)
+    monkeypatch.setattr(simplex, "_pivot", pivot)
+    rng = np.random.default_rng(3)
+    driven = 0
+    for _ in range(60):
+        m, n = int(rng.integers(2, 8)), int(rng.integers(3, 16))
+        n = max(n, m + 1)
+        A = rng.standard_normal((m, n))
+        A = np.vstack([A, A[0], 2.5 * A[1], A[0] + A[1]])
+        b = A @ (np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.2))
+        c = rng.standard_normal(n) + 0.5
+        ref = optimize.linprog(c, A_eq=A, b_eq=b, bounds=[(0, None)] * n, method="highs")
+        entries = []
+        if ref.status == 3:
+            with pytest.raises(SolverError, match="unbounded"):
+                simplex_solve(c, A, b)
+            continue
+        assert ref.status == 0
+        res = simplex_solve(c, A, b)
+        assert np.isclose(res.objective, ref.fun, rtol=1e-9, atol=1e-9)
+        assert res.dropped_rows == ()
+        assert all(e >= 1.0 / np.sqrt(m * n) for e in entries), (m, n, entries)
+        driven += bool(entries)
+    assert driven >= 10
 
 
 def test_infeasible_is_reported():
@@ -103,6 +145,17 @@ def test_unbounded_is_reported():
 def test_shape_validation():
     with pytest.raises(PreconditionError):
         simplex_solve(np.zeros(3), np.eye(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("where,value", [("c", np.nan), ("c", np.inf), ("b", np.nan),
+                                         ("A", np.nan), ("A", -np.inf)])
+def test_non_finite_input_is_refused(where, value):
+    # refused before the row reduction: a NaN or inf would reach the
+    # objective, or raise a raw LinAlgError from the SVD
+    data = {"c": np.array([1.0, 2.0]), "A": np.array([[1.0, 1.0]]), "b": np.array([1.0])}
+    data[where].flat[0] = value
+    with pytest.raises(PreconditionError, match="non-finite"):
+        simplex_solve(data["c"], data["A"], data["b"])
 
 
 def test_result_reports_iterations():
@@ -211,7 +264,7 @@ def test_no_pivot_under_a_nonnegative_cost_is_a_breakdown():
     # is below the pivot tolerance; with cost ≥ 0 the LP cannot be unbounded
     T = np.array([[1.0, 5e-10, 1.0]])
     with pytest.raises(SolverError, match="numerical breakdown") as exc:
-        simplex._run(T, [0], np.array([10.0, 0.0]), 2, 100)
+        simplex._run(T, [0], np.array([10.0, 0.0]), 2)
     assert "unbounded" not in str(exc.value)
 
 
@@ -231,6 +284,8 @@ def test_ten_percent_drop_lp_at_120_solves():
     res = solve_l1_lp(R, b)
     assert np.isclose(res.objective, 8.0, rtol=1e-9)
     assert np.abs(res.x - x).max() < 1e-9
+    # Bland's rule must end at the next descent; a fallback that never ends takes 3,621 pivots
+    assert res.iterations <= 1000
 
 
 def test_ten_percent_drop_lp_at_150_is_never_called_unbounded():
@@ -332,6 +387,17 @@ def test_lad_fit_right_hand_side_below_the_snap_level_is_zero_at_once():
 def test_lad_fit_shape_validation():
     with pytest.raises(PreconditionError):
         lad_fit(np.ones((3, 1)), np.ones(2))
+
+
+@pytest.mark.parametrize("where,value", [("y", np.inf), ("y", np.nan), ("B", np.nan),
+                                         ("B", np.inf)])
+def test_lad_fit_refuses_non_finite_input(where, value):
+    # refused before any step: an inf in y would reach the objective, and a
+    # NaN in y or B would end in a "numerical breakdown" SolverError
+    data = {"B": np.ones((3, 1)), "y": np.array([1.0, 2.0, 4.0])}
+    data[where].flat[1] = value
+    with pytest.raises(PreconditionError, match="non-finite"):
+        lad_fit(data["B"], data["y"])
 
 
 def _table1_row4_fit(monkeypatch):
