@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import PreconditionError
-from .numtheory import _bin_owners, divisors, ramanujan_sum
+from .numtheory import _bin_owners, _is_finite_real, _is_int, divisors, ramanujan_sum
 
 __all__ = [
     "BinMap",
@@ -41,11 +41,6 @@ __all__ = [
 # τ: a tight bank's survivors of erasures are a frame iff λ_min > τ·λ_max of A·I − Σ f fᵀ,
 # and recovery counts a direction lost where λ ≤ τ·A (notes/decisions.md, entry 15)
 _SURVIVOR_TOL = 1e-8
-
-
-def _is_int(v) -> bool:
-    """Python and numpy integers; not bools, floats or strings."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -285,6 +280,8 @@ def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
     One bank per (N, p), so its filter matrix, frame bounds and channel
     geometry are derived once for every caller; the 32 most recent are kept.
     """
+    if not (_is_int(N) and _is_int(p)):
+        raise PreconditionError(f"need integers N and p, got N={N!r}, p={p!r}")
     if N < 1:
         raise PreconditionError(f"need N >= 1, got {N}")
     if p < 1 or N % p:
@@ -495,13 +492,16 @@ def identify_period(x, N: int | None = None, zero_tol: float = 1e-8) -> int:
     ------
     PreconditionError
         If x is the zero signal (every channel is silent; an all-zero signal
-        has no period, while a constant one correctly reports period 1).
+        has no period, while a constant one correctly reports period 1), or
+        if zero_tol is not a real number in [0, 1).
     """
     return _period_scan(x, N, zero_tol)[0]
 
 
 def _period_scan(x, N: int | None, zero_tol: float) -> tuple[int, tuple[int, ...], np.ndarray]:
     """:func:`identify_period`'s work: the period, the responding q's and every channel energy."""
+    if not _is_finite_real(zero_tol) or not 0.0 <= zero_tol < 1.0:
+        raise PreconditionError(f"zero_tol must be a real number in [0, 1), got {zero_tol!r}")
     x = _real_vector(x, "signal")  # channel_energies checks the values
     if N is None:
         N = len(x)

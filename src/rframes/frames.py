@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .filterbank import RamanujanFilterBank
-from .numtheory import _bin_owners, divisors
+from .numtheory import _bin_owners, _is_int, divisors
 
 __all__ = [
     "zak",
@@ -49,8 +49,8 @@ def zak(x, p: int) -> np.ndarray:
     """
     x = np.asarray(x)
     N = len(x)
-    if p < 1 or N % p:
-        raise PreconditionError(f"stride p={p} must divide N={N}")
+    if not _is_int(p) or p < 1 or N % p:
+        raise PreconditionError(f"stride p={p!r} must be an integer that divides N={N}")
     d = N // p
     # x(pℓ+n) laid out as a d×p array, ℓ down the rows
     return np.fft.fft(x.reshape(d, p), axis=0, norm="ortho")
@@ -77,8 +77,8 @@ def polyphase_matrix(bank: RamanujanFilterBank, m: int) -> np.ndarray:
         raise PreconditionError("polyphase analysis requires a uniform bank")
     p = bank.ratio
     d = bank.n // p
-    if not 0 <= m < d:
-        raise PreconditionError(f"frequency index m={m} outside Z_{d}")
+    if not _is_int(m) or not 0 <= m < d:
+        raise PreconditionError(f"frequency index m={m!r} outside Z_{d}")
     # the conjugate of the DFT along ℓ of the real d×p arrays c_{q_i}(pℓ + n)
     C = bank.filter_matrix.reshape(-1, d, p)  # (K, d, p)
     return np.fft.fft(C, axis=1)[:, m, :].conj()
@@ -187,8 +187,8 @@ def classify_theorem_case(N: int, p: int) -> TheoremCase:
         If p ∤ N, or the channel count K is below p (the polyphase matrix
         cannot have rank p at all — hypothesis violation).
     """
-    if N < 1 or p < 1 or N % p:
-        raise PreconditionError(f"need p | N, got N={N}, p={p}")
+    if not (_is_int(N) and _is_int(p)) or N < 1 or p < 1 or N % p:
+        raise PreconditionError(f"need integers with p | N, got N={N!r}, p={p!r}")
     d = N // p
     K = divisors(N).count
     if K < p:

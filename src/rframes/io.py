@@ -28,7 +28,8 @@ import tempfile
 import numpy as np
 
 from .errors import PreconditionError
-from .filterbank import Channel, RamanujanFilterBank, _is_int
+from .filterbank import Channel, RamanujanFilterBank
+from .numtheory import _is_int
 
 __all__ = [
     "MAX_N",

@@ -12,6 +12,7 @@ the test suite as an independent oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,6 +30,16 @@ __all__ = [
     "circular_convolution",
     "inner_product",
 ]
+
+
+def _is_int(v) -> bool:
+    """Python and numpy integers; not bools, floats or strings."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_finite_real(v) -> bool:
+    """Integers as :func:`_is_int` takes them, and finite Python and numpy floats."""
+    return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
 
 
 def _factorize(n):
@@ -58,8 +69,8 @@ def totient(q: int) -> int:
     int
         Exact value via the product formula φ(q) = q·Π(1 − 1/p).
     """
-    if q < 1:
-        raise PreconditionError(f"totient requires q >= 1, got {q}")
+    if not _is_int(q) or q < 1:
+        raise PreconditionError(f"totient requires an integer q >= 1, got {q!r}")
     result = q
     for p in _factorize(q):
         result -= result // p
@@ -68,8 +79,8 @@ def totient(q: int) -> int:
 
 def mobius(n: int) -> int:
     """Möbius function μ(n): (−1)^k for squarefree n with k prime factors, else 0."""
-    if n < 1:
-        raise PreconditionError(f"mobius requires n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise PreconditionError(f"mobius requires an integer n >= 1, got {n!r}")
     fac = _factorize(n)
     if any(e > 1 for e in fac.values()):
         return 0
@@ -122,8 +133,8 @@ def divisors(n: int) -> DivisorProfile:
     >>> divisors(30).count
     8
     """
-    if n < 1:
-        raise PreconditionError(f"divisors requires n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise PreconditionError(f"divisors requires an integer n >= 1, got {n!r}")
     small, large = [], []
     d = 1
     while d * d <= n:
@@ -160,8 +171,8 @@ def ramanujan_sum(q: int, N: int) -> np.ndarray:
         If q does not divide N (the filter-bank theory needs q | N; other
         periods enter only through their divisors).
     """
-    if N < 1 or q < 1:
-        raise PreconditionError(f"need q >= 1 and N >= 1, got q={q}, N={N}")
+    if not (_is_int(q) and _is_int(N)) or N < 1 or q < 1:
+        raise PreconditionError(f"need integers q >= 1 and N >= 1, got q={q!r}, N={N!r}")
     if N % q:
         raise PreconditionError(f"q={q} does not divide N={N}")
     # one Hölder value per divisor m of q, looked up by the order q // gcd(n, q)
@@ -205,6 +216,8 @@ def _shift_rank(p: int, q: int, N: int) -> int:
 
 def circular_shift(x, m: int) -> np.ndarray:
     """(L_m x)(n) = x(n − m mod N); m may be any integer."""
+    if not _is_int(m):
+        raise PreconditionError(f"shift m must be an integer, got {m!r}")
     return np.roll(np.asarray(x), m)
 
 

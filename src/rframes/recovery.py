@@ -37,13 +37,12 @@ from .filterbank import (
     _SURVIVOR_TOL,
     _checked_pairs,
     _checked_signal,
-    _is_int,
     analyze,
     channel_energies,
     coefficient_rows,
     synthesize,
 )
-from .numtheory import _bin_owners, divisors, totient
+from .numtheory import _bin_owners, _is_finite_real, _is_int, divisors, totient
 from .simplex import _least_distance, _rank, lad_fit
 
 __all__ = [
@@ -95,6 +94,8 @@ def uncertainty_report(
     x, bank: RamanujanFilterBank, tol: float = 1e-8
 ) -> UncertaintyReport:
     """Count coefficient/sample supports of x and check the uncertainty bounds."""
+    if not _is_finite_real(tol) or not 0.0 <= tol < 1.0:
+        raise PreconditionError(f"tol must be a real number in [0, 1), got {tol!r}")
     x = _checked_signal(x, bank)
     A = bank.tight_bound()
     if not np.any(x):
@@ -494,6 +495,8 @@ def add_noise(x, model, seed: int = 0) -> np.ndarray:
     n = len(x)
     rng = np.random.default_rng(seed)
     if isinstance(model, GaussianNoiseModel):
+        if not _is_finite_real(model.snr_db):
+            raise PreconditionError(f"SNR must be a finite real number of dB, got {model.snr_db!r}")
         px = float(x @ x)
         if px == 0.0:
             raise PreconditionError("cannot target an SNR against a zero signal")
@@ -510,6 +513,8 @@ def add_noise(x, model, seed: int = 0) -> np.ndarray:
             vals = np.asarray(model.values, dtype=float)
             if len(vals) != len(support):
                 raise PreconditionError("values and support lengths differ")
+        elif not _is_finite_real(model.amplitude):
+            raise PreconditionError(f"amplitude must be a finite real number, got {model.amplitude!r}")
         else:
             vals = model.amplitude * _box_muller(rng, len(support))
         y = x.copy()

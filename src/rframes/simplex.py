@@ -88,8 +88,8 @@ class _Pivots:
         candidate is its own, so the first of the sorted cands is lowest.
         """
         if not self.bland:
-            return int(cands[np.argmax(score[cands])])
-        return int(cands[0] if label is None else cands[np.argmin(label[cands])])
+            return int(cands[score[cands].argmax()])
+        return int(cands[0] if label is None else cands[label[cands].argmin()])
 
     @staticmethod
     def ties(t: np.ndarray, stop: float) -> np.ndarray:
@@ -349,6 +349,12 @@ def lad_fit(B, y) -> LpResult:
     to Bland's (lowest label in, nearest breakpoint with the lowest row
     index out), as in :func:`_run`.
 
+    Between steps the loop keeps s with the basis rows at 0, so that
+    B_Nᵀs_N is the one product Bᵀs, and w's breakpoint rows are those with
+    s_i·w_i > 0; a flag per basis slot, 1 for a row, 0 for a coordinate
+    still to release and inf for a stuck one, so that every rate is
+    |v_j| − flag_j; and the list of coordinates stage 1 has still to release.
+
     The answer is re-solved from the final basis against the original B
     and y and certified: u = s off the basis and Gᵀ-solved on it must have
     |u| ≤ 1, Bᵀu = 0 and ‖y − Bz‖₁ − yᵀu ≤ 1e−8 relative (the LP dual
@@ -376,7 +382,7 @@ def lad_fit(B, y) -> LpResult:
 
     basis = np.arange(-k, 0)  # label −k + j: coordinate z_j held at 0; label i ≥ 0: row i
     on = np.zeros(n, dtype=bool)  # rows in the basis
-    s = np.where(y < 0, -1.0, 1.0)
+    su = np.where(y < 0, -1.0, 1.0)  # s, with the basis rows at 0
 
     def system() -> tuple[np.ndarray, np.ndarray]:
         rows = basis >= 0
@@ -388,7 +394,8 @@ def lad_fit(B, y) -> LpResult:
     def settle(r: np.ndarray) -> np.ndarray:
         r[on] = 0.0
         r[np.abs(r) < snap] = 0.0
-        s[r != 0.0] = np.sign(r[r != 0.0])
+        nz = r != 0.0
+        su[nz] = np.sign(r[nz])
         return r
 
     def refactor() -> None:
@@ -401,39 +408,40 @@ def lad_fit(B, y) -> LpResult:
         r = settle(y - B @ (Ginv @ h))
 
     Ginv = np.eye(k)
-    stuck = np.zeros(k, dtype=bool)  # coordinates whose release moves no residual
+    pending = list(range(k))  # stage 1: coordinates still to release
+    flag = np.zeros(k)  # 1 where a row holds basis slot j, inf where z_j is stuck at 0
     r = settle(y.copy())
     it1 = 0
     piv = _Pivots(n, n + k, float(np.abs(r).sum()), refactor)
     while True:
-        v = Ginv.T @ (B.T @ np.where(on, 0.0, s))
-        free = basis < 0
-        rate = np.where(free, np.abs(v), np.abs(v) - 1.0)  # descent rate of a release
-        first = np.flatnonzero(free & ~stuck)
-        if first.size:  # stage 1: every coordinate enters, even at rate 0
-            j = int(first[np.argmax(rate[first])])
+        v = Ginv.T @ (B.T @ su)
+        rate = np.abs(v) - flag  # descent rate of a release
+        if pending:  # stage 1: every coordinate enters, even at rate 0
+            j = pending[int(rate[pending].argmax())]
         else:
-            eligible = np.flatnonzero(~free & (rate > _RC_TOL))
+            eligible = (rate > _RC_TOL).nonzero()[0]
             if not eligible.size:
                 break
             j = piv.pick(eligible, rate, basis)
         delta = 1.0 if v[j] > 0 else -1.0
-        d = delta * Ginv[:, j]
-        w = B @ d  # residuals move as r − t·w
-        cand = np.flatnonzero(~on & (s * w > _PIVOT_TOL))
-        t = np.maximum(r[cand] / w[cand], 0.0)
+        w = B @ (delta * Ginv[:, j])  # residuals move as r − t·w
+        sw = su * w  # |w| on the rows that can stop the step
+        cand = (sw > _PIVOT_TOL).nonzero()[0]
+        wc = w[cand]
+        t = np.maximum(r[cand] / wc, 0.0)
         if piv.bland:
             stop = float(t.min(initial=np.inf))
             passed = cand[:0]
         else:  # the slope −rate[j] rises by 2|w_i| at each breakpoint passed
-            order = np.argsort(t, kind="stable")
-            crossed = 2.0 * np.cumsum(np.abs(w[cand[order]])) >= rate[j]
-            at = int(np.argmax(crossed)) if crossed.size else 0
+            order = t.argsort(kind="stable")
+            crossed = 2.0 * np.abs(wc[order]).cumsum() >= rate[j]
+            at = int(crossed.argmax()) if crossed.size else 0
             stop = float(t[order[at]]) if crossed.size and crossed[at] else np.inf
             passed = cand[order[:at]]
-        if not np.isfinite(stop):
+        if stop == np.inf:  # no breakpoint ends the ray
             if basis[j] < 0 and rate[j] <= _RC_TOL:
-                stuck[j] = True  # a null direction of B: z_j stays at 0
+                pending.remove(j)  # a null direction of B: z_j stays at 0
+                flag[j] = np.inf
                 continue
             if piv.reprice():  # the direction may be noise in G⁻¹: price it again
                 continue
@@ -442,19 +450,21 @@ def lad_fit(B, y) -> LpResult:
                 "but an ℓ1 fit is bounded below"
             )
         ties = cand[piv.ties(t, stop)]
-        enter = piv.pick(ties, np.abs(w))
+        enter = piv.pick(ties, sw)
         if basis[j] >= 0:
             on[basis[j]] = False
-            s[basis[j]] = -delta
+            su[basis[j]] = -delta
         else:
+            pending.remove(j)
             it1 += 1
-        s[passed[passed != enter]] *= -1.0
+        su[passed[passed != enter]] *= -1.0
         on[enter] = True
+        su[enter] = 0.0
         row = B[enter] @ Ginv  # G's row j becomes B[enter]: a rank-one update of G⁻¹
-        col = Ginv[:, j].copy()
         row[j] -= 1.0
-        Ginv -= np.outer(col, row / (row[j] + 1.0))
+        Ginv -= np.einsum("i,j->ij", Ginv[:, j], row / (row[j] + 1.0))  # np.outer's products
         basis[j] = enter
+        flag[j] = 1.0
         r = settle(r - stop * w)
         piv.pivoted(lambda: float(np.abs(r).sum()))
 
@@ -462,11 +472,11 @@ def lad_fit(B, y) -> LpResult:
     rows = basis >= 0
     try:
         z = np.linalg.solve(G, h)
-        lam = np.linalg.solve(G.T, -(B.T @ np.where(on, 0.0, s)))
+        lam = np.linalg.solve(G.T, -(B.T @ su))
     except np.linalg.LinAlgError as exc:
         raise SolverError("optimal basis is numerically singular") from exc
     r = y - B @ z
-    u = np.where(on, 0.0, s)
+    u = su.copy()
     u[basis[rows]] = lam[rows]
     obj = float(np.abs(r).sum())
     scale = max(1.0, float(np.abs(B).sum(axis=0).max(initial=0.0)))

@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import InternalError, PreconditionError
 from .filterbank import (
-    _SURVIVOR_TOL, Channel, RamanujanFilterBank, _checked_pairs, _checked_signal, _is_int,
-    _real_vector, coefficient_rows, uniform_bank,
+    _SURVIVOR_TOL, Channel, RamanujanFilterBank, _checked_pairs, _checked_signal, _real_vector,
+    coefficient_rows, uniform_bank,
 )
-from .numtheory import _bin_owners, _factorize, _shift_rank, divisors, totient
+from .numtheory import _bin_owners, _factorize, _is_int, _shift_rank, divisors, totient
 
 __all__ = [
     "RamanujanSubspace",

@@ -144,6 +144,16 @@ def test_round_trip_on_tight_banks(N, p, A, rng):
     assert bank.tight_bound() == A
 
 
+def test_uniform_bank_refuses_a_non_integer():
+    # uniform_bank('6', 1) once raised a raw TypeError from N < 1; the check is
+    # in the cached body, so a repeated bad call raises again
+    for N, p in (("6", 1), (6, "1"), (6.0, 1), (6, 1.0), (True, 1), (6, True)):
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="integers"):
+                uniform_bank(N, p)
+    assert uniform_bank(np.int64(6), np.int64(2)).qs == (1, 2, 3, 6)
+
+
 def test_synthesize_guards():
     bank = uniform_bank(12, 2)  # d even: not a frame
     y = analyze(np.ones(12), bank)
@@ -184,6 +194,15 @@ def test_identify_period_basic_cases():
         identify_period(np.zeros(12))
     with pytest.raises(PreconditionError):
         identify_period(np.ones(12), N=10)
+
+
+def test_identify_period_refuses_a_threshold_outside_0_1():
+    # zero_tol = −1 once counted every channel, and NaN none
+    x = periodic_signal(30, (3, 5), seed=3)
+    for bad in (-1, -1e-12, 1.0, math.nan, math.inf, True, "1e-8", None):
+        with pytest.raises(PreconditionError, match="zero_tol"):
+            identify_period(x, zero_tol=bad)
+    assert identify_period(x, zero_tol=1e-6) == identify_period(x, zero_tol=np.float64(1e-8)) == 15
 
 
 def test_identify_period_seeded_sweep(rng):

@@ -97,6 +97,42 @@ def test_ramanujan_sum_requires_divisor():
         ramanujan_sum(0, 4)
 
 
+# a float, bool or string where an integer belongs was once read as a number:
+# totient(2.5) gave 1.5, divisors(6.0) float divisors, ramanujan_sum(True, 6)
+# c_1 and circular_shift(x, 1.5) a shift by 1
+
+
+def test_totient_and_mobius_refuse_a_non_integer():
+    for bad in (2.5, 6.0, True, "6"):
+        with pytest.raises(PreconditionError, match="integer"):
+            totient(bad)
+        with pytest.raises(PreconditionError, match="integer"):
+            mobius(bad)
+    assert totient(np.int64(12)) == 4 and mobius(np.int64(6)) == 1
+
+
+def test_divisors_refuses_a_non_integer():
+    for bad in (6.0, 2.5, False, "6"):
+        with pytest.raises(PreconditionError, match="integer"):
+            divisors(bad)
+    assert divisors(np.int64(6)).divisors == (1, 2, 3, 6)
+
+
+def test_ramanujan_sum_refuses_a_non_integer():
+    for q, N in ((True, 6), (2, 6.0), (2.0, 6), (1, "6")):
+        with pytest.raises(PreconditionError, match="integers"):
+            ramanujan_sum(q, N)
+    assert ramanujan_sum(np.int64(2), np.int64(6)).tolist() == ramanujan_sum(2, 6).tolist()
+
+
+def test_circular_shift_refuses_a_non_integer_shift():
+    x = np.arange(6.0)
+    for bad in (1.5, 1.0, True, None):
+        with pytest.raises(PreconditionError, match="integer"):
+            circular_shift(x, bad)
+    assert circular_shift(x, np.int64(-1)).tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 0.0]
+
+
 def test_norm_squared_is_n_phi():
     for N in (6, 12, 30, 38, 70):
         for q in divisors(N).divisors:

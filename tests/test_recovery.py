@@ -94,6 +94,16 @@ def test_uncertainty_preconditions():
         uncertainty_report(np.zeros(6), uniform_bank(6, 1))
 
 
+def test_uncertainty_report_refuses_a_tolerance_outside_0_1():
+    # tol = NaN once reported s_x = b_x = 0, and a negative tol counts every entry
+    bank = uniform_bank(12, 1)
+    x = sparse_top_channel(12)
+    for bad in (math.nan, math.inf, -1e-3, 1.0, True, "1e-8", None):
+        with pytest.raises(PreconditionError, match="tol"):
+            uncertainty_report(x, bank, tol=bad)
+    assert uncertainty_report(x, bank, tol=0) == uncertainty_report(x, bank, tol=0.0)
+
+
 def test_uncertainty_random_sample_never_violates(rng):
     for _ in range(25):
         N = int(rng.choice([6, 10, 12, 21]))
@@ -611,6 +621,18 @@ def test_gaussian_noise_hits_target_exactly(rng):
     )
     with pytest.raises(PreconditionError):
         add_noise(np.zeros(4), GaussianNoiseModel(0.0))
+
+
+def test_add_noise_refuses_a_non_finite_level():
+    # a NaN SNR once returned an all-NaN signal
+    x = np.array([3.0, 4.0, -1.0])
+    for bad in (math.nan, math.inf, -math.inf, True, "10", None):
+        with pytest.raises(PreconditionError, match="SNR"):
+            add_noise(x, GaussianNoiseModel(bad))
+        with pytest.raises(PreconditionError, match="amplitude"):
+            add_noise(x, SparseNoiseModel(support=(1,), amplitude=bad))
+    assert np.array_equal(add_noise(x, GaussianNoiseModel(10), seed=2),
+                          add_noise(x, GaussianNoiseModel(10.0), seed=2))
 
 
 def test_sparse_noise_model():

@@ -354,24 +354,35 @@ def test_lad_fit_matches_l1_fit_on_seeded_fits(rng):
         _assert_certified(res, B, y)
 
 
+def _dependent_columns_fit():
+    """A 5×3 fit whose column 2 is column 0 + column 1."""
+    B = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [2.0, -1.0, 1.0],
+                  [1.0, 3.0, 4.0]])
+    return B, np.array([1.0, -2.0, 0.5, 3.0, 1.0])
+
+
 def test_lad_fit_with_dependent_columns():
     # column 2 = column 0 + column 1: once two coordinates have entered, the
     # third one's release moves no residual, so it stays at 0
-    B = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0], [2.0, -1.0, 1.0],
-                  [1.0, 3.0, 4.0]])
-    y = np.array([1.0, -2.0, 0.5, 3.0, 1.0])
+    B, y = _dependent_columns_fit()
     res = lad_fit(B, y)
     assert np.isclose(res.objective, l1_fit(B, y).objective, rtol=1e-12)
     assert np.sum(np.abs(res.x) < 1e-12) == 1
     _assert_certified(res, B, y)
 
 
-@pytest.mark.parametrize("n,k", [(30, 3), (70, 14), (210, 34), (462, 98)])
-def test_lad_fit_matches_highs(n, k):
+def _gross_error_fit(n, k):
+    """A seeded n×k fit: y = Bz plus gross errors on a fifth of its rows."""
     rng = np.random.default_rng(n + k)
     B = rng.standard_normal((n, k))
     y = B @ rng.standard_normal(k)
     y[rng.choice(n, n // 5, replace=False)] += 3.0 * rng.standard_normal(n // 5)
+    return B, y
+
+
+@pytest.mark.parametrize("n,k", [(30, 3), (70, 14), (210, 34), (462, 98)])
+def test_lad_fit_matches_highs(n, k):
+    B, y = _gross_error_fit(n, k)
     res = lad_fit(B, y)
     assert np.isclose(res.objective, _highs_lad(B, y), rtol=1e-9)
     _assert_certified(res, B, y)
@@ -429,21 +440,45 @@ def test_lad_fit_on_the_degenerate_table1_program(monkeypatch):
     _assert_certified(res, B, y)
 
 
-def test_lad_fit_escapes_a_cycling_plateau_by_blands_rule():
-    # a seeded integer fit, found by a seed search, on which the largest-|u|
-    # long step alone revisits its degenerate bases until the iteration cap:
-    # y = e₀ + e₁ leaves 12 of the 14 residuals at zero from the start
+def _plateau_fit():
+    """The seeded 14×7 integer fit of y = e₀ + e₁ with a cycling plateau."""
     rng = np.random.default_rng(91520)
     n, k = int(rng.integers(13, 60)), int(rng.integers(2, 12))
     B = rng.integers(-3, 4, size=(n, k)).astype(float)
     y = np.zeros(n)
     y[:2] = 1.0
+    return B, y
+
+
+def test_lad_fit_escapes_a_cycling_plateau_by_blands_rule():
+    # a seeded integer fit, found by a seed search, on which the largest-|u|
+    # long step alone revisits its degenerate bases until the iteration cap:
+    # y = e₀ + e₁ leaves 12 of the 14 residuals at zero from the start
+    B, y = _plateau_fit()
+    n, k = B.shape
     res = lad_fit(B, y)
     assert (n, k) == (14, 7)
     assert np.isclose(res.objective, 2.0, rtol=1e-12)
     assert np.isclose(res.objective, l1_fit(B, y).objective, rtol=1e-12)
     assert res.iterations > 2 * n + 50  # the plateau outlasted the stall count
     _assert_certified(res, B, y)
+
+
+def test_lad_fit_keeps_its_step_counts(monkeypatch):
+    # (iterations, phase1_iterations) pin the path of pivots, not only the
+    # optimum: a change to the step loop that keeps every decision keeps them
+    fits = {(n, k): _gross_error_fit(n, k) for n, k in [(30, 3), (70, 14), (210, 34), (462, 98)]}
+    fits["plateau"] = _plateau_fit()
+    fits["dependent columns"] = _dependent_columns_fit()
+    fits["table-1 row 4"] = _table1_row4_fit(monkeypatch)
+    steps = {}
+    for name, (B, y) in fits.items():
+        res = lad_fit(B, y)
+        steps[name] = (res.iterations, res.phase1_iterations)
+    assert all(type(i) is int and type(i1) is int for i, i1 in steps.values())
+    assert steps == {(30, 3): (5, 3), (70, 14): (38, 14), (210, 34): (108, 34),
+                     (462, 98): (456, 98), "plateau": (84, 7), "dependent columns": (2, 2),
+                     "table-1 row 4": (21, 14)}
 
 
 # ---------------------------------------------------------------------------

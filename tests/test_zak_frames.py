@@ -98,6 +98,24 @@ def test_polyphase_index_range():
         polyphase_matrix(bank, 3)
 
 
+def test_polyphase_matrix_refuses_a_non_integer_index():
+    # m = 1.5 once raised a raw IndexError from the FFT's row lookup
+    bank = uniform_bank(6, 2)
+    for bad in (1.5, 1.0, True, "1", None):
+        with pytest.raises(PreconditionError, match="frequency index"):
+            polyphase_matrix(bank, bad)
+    assert np.array_equal(polyphase_matrix(bank, np.int64(1)), polyphase_matrix(bank, 1))
+
+
+def test_zak_refuses_a_non_integer_stride():
+    # zak(x, 2.0) once raised a raw TypeError from the reshape
+    x = np.arange(6.0)
+    for bad in (2.0, 1.5, True, "2", None):
+        with pytest.raises(PreconditionError, match="stride"):
+            zak(x, bad)
+    assert np.array_equal(zak(x, np.int64(2)), zak(x, 2))
+
+
 def test_trace_identity():
     # sum_m tr(U*(m)U(m)) = d * N^2  (corrected constant; the filters carry
     # total energy sum_q N*phi(q) = N^2 and each of the d frequencies sees it)
@@ -277,6 +295,15 @@ def test_classifier_preconditions():
         classify_theorem_case(10, 3)  # p does not divide N
     with pytest.raises(PreconditionError):
         classify_theorem_case(4, 4)  # K = 3 < p
+
+
+def test_classify_theorem_case_refuses_non_integers():
+    # (12.0, 2) once returned a case with a float n and d
+    for N, p in ((12.0, 2), (12, 2.0), (True, 1), ("12", 2), (12, None)):
+        with pytest.raises(PreconditionError, match="integers"):
+            classify_theorem_case(N, p)
+    case = classify_theorem_case(np.int64(12), np.int64(2))
+    assert (case.n, case.d, case.case) == (12, 6, "not_frame")
 
 
 def test_frame_operator_identity_for_tight_banks(rng):
