@@ -273,21 +273,31 @@ class RamanujanFilterBank:
         return coefficient_rows(self, [(k, i) for k in range(d)]).T
 
 
-@lru_cache(maxsize=32, typed=True)
 def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
     """The full divisor bank over Z_N with one common decimation ratio p.
 
     One bank per (N, p), so its filter matrix, frame bounds and channel
     geometry are derived once for every caller; the 32 most recent are kept.
+    N and p are checked to be integers before the cache sees them, so that
+    a list is a PreconditionError, not an unhashable key.
     """
-    if not (_is_int(N) and _is_int(p)):
-        raise PreconditionError(f"need integers N and p, got N={N!r}, p={p!r}")
+    if type(N) is not int or type(p) is not int:  # Python ints pass without a call
+        if not (_is_int(N) and _is_int(p)):
+            raise PreconditionError(f"need integers N and p, got N={N!r}, p={p!r}")
+    return _uniform_bank(N, p)
+
+
+@lru_cache(maxsize=32, typed=True)
+def _uniform_bank(N: int, p: int) -> RamanujanFilterBank:
     if N < 1:
         raise PreconditionError(f"need N >= 1, got {N}")
     if p < 1 or N % p:
         raise PreconditionError(f"decimation ratio p={p} must divide N={N}")
     prof = divisors(N)
     return RamanujanFilterBank(N, tuple(Channel(q, p) for q in prof.divisors))
+
+
+uniform_bank.cache_clear = _uniform_bank.cache_clear
 
 
 def _checked_pairs(bank: RamanujanFilterBank, pairs) -> list[tuple[int, int]]:
@@ -368,6 +378,14 @@ def _real_vector(v, what: str) -> np.ndarray:
     return a
 
 
+def _finite_vector(v, what: str) -> np.ndarray:
+    """v as a float vector of finite values: :func:`_real_vector`, then NaN and inf refused."""
+    a = _real_vector(v, what).astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise PreconditionError(f"{what} holds NaN or inf values")
+    return a
+
+
 def _checked_signal(x, bank: RamanujanFilterBank) -> np.ndarray:
     """x as a float vector.
 
@@ -376,11 +394,9 @@ def _checked_signal(x, bank: RamanujanFilterBank) -> np.ndarray:
     PreconditionError
         If x is not a real length-N vector or holds NaN or inf.
     """
-    x = _real_vector(x, "signal").astype(float, copy=False)
+    x = _finite_vector(x, "signal")
     if x.size != bank.n:
         raise PreconditionError(f"signal of shape {x.shape} does not match bank N {bank.n}")
-    if not np.isfinite(x).all():
-        raise PreconditionError("signal holds NaN or inf values")
     return x
 
 

@@ -219,8 +219,13 @@ def zak_value_oracle(q_j: int, q_i: int, k: int, n: int, N: int) -> complex:
         0                               otherwise.
 
     Must agree with :func:`zak` numerically (tested to 1e−9); the row index
-    is taken mod d, matching the d-periodicity of the transform.
+    is taken mod d, matching the d-periodicity of the transform.  Every
+    argument must be an integer (floats and bools are refused).
     """
+    if not all(map(_is_int, (q_j, q_i, k, n, N))):
+        raise PreconditionError(
+            f"oracle needs integers, got q_j={q_j!r}, q_i={q_i!r}, k={k!r}, n={n!r}, N={N!r}"
+        )
     if N < 2 or N % 2 or (N // 2) % 2 == 0:
         raise PreconditionError(f"oracle needs N = 2d with d odd, got N={N}")
     if N % q_i or N % q_j:

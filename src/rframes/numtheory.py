@@ -43,7 +43,13 @@ def _is_finite_real(v) -> bool:
 
 
 def _factorize(n):
-    """Prime factorization as a dict {prime: exponent}; trial division."""
+    """Prime factorization as a dict {prime: exponent}; trial division.
+
+    {} for n < 2.  A non-integer is a PreconditionError: trial division of
+    a float inf never ends, and 1.5 would come back as the "prime" 1.5.
+    """
+    if not _is_int(n):
+        raise PreconditionError(f"need an integer, got {n!r}")
     fac = {}
     d = 2
     while d * d <= n:

@@ -37,6 +37,7 @@ from .filterbank import (
     _SURVIVOR_TOL,
     _checked_pairs,
     _checked_signal,
+    _finite_vector,
     analyze,
     channel_energies,
     coefficient_rows,
@@ -452,9 +453,12 @@ def detect_support_set(
 
 
 def snr_db(signal: np.ndarray, noise: np.ndarray) -> float:
-    """10·log₁₀ of the power ratio; +inf when the error vector is exactly zero."""
-    signal = np.asarray(signal, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    """10·log₁₀ of the power ratio; +inf when the error vector is exactly zero.
+
+    A vector that is not real and finite is a PreconditionError.
+    """
+    signal = _finite_vector(signal, "signal")
+    noise = _finite_vector(noise, "error")
     if signal.shape != noise.shape:
         raise PreconditionError("signal and error must have the same length")
     pn = float(noise @ noise)
@@ -490,8 +494,12 @@ def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def add_noise(x, model, seed: int = 0) -> np.ndarray:
-    """Return x + η for the given noise model, deterministically under seed."""
-    x = np.asarray(x, dtype=float)
+    """Return x + η for the given noise model, deterministically under seed.
+
+    A signal, sparse value or level that is not real and finite is a
+    PreconditionError.
+    """
+    x = _finite_vector(x, "signal")
     n = len(x)
     rng = np.random.default_rng(seed)
     if isinstance(model, GaussianNoiseModel):
@@ -510,7 +518,7 @@ def add_noise(x, model, seed: int = 0) -> np.ndarray:
         if any(not 0 <= k < n for k in support):
             raise PreconditionError(f"sparse noise support outside Z_{n}")
         if model.values is not None:
-            vals = np.asarray(model.values, dtype=float)
+            vals = _finite_vector(model.values, "sparse noise")
             if len(vals) != len(support):
                 raise PreconditionError("values and support lengths differ")
         elif not _is_finite_real(model.amplitude):

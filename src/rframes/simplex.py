@@ -9,7 +9,11 @@ rather than read off the accumulated tableau, and every solve self-certifies
 with a primal/dual feasibility + gap check before returning.  :func:`lad_fit`
 runs the least-absolute-deviations form min ‖y − Bz‖₁ on the N×k fit itself,
 and :func:`lad_fit_unique` certifies whether its fitted signal is the only
-optimum.  Both simplex loops follow one pivoting discipline, :class:`_Pivots`.
+optimum, with a margin that is itself one :func:`lad_fit`.  So every LP the
+library solves runs on :func:`lad_fit`; the tableau :func:`simplex_solve` and
+its front ends :func:`solve_l1_lp` and :func:`l1_fit` are the exported
+general solver and the tests' oracles.  Both simplex loops follow one
+pivoting discipline, :class:`_Pivots`.
 :func:`_least_distance` (NNLS-based) projects onto a polyhedron.
 """
 
@@ -503,11 +507,10 @@ def lad_fit_unique(B, y, fit: LpResult) -> bool:
     * rank(B_Z) = rank(B): no nonzero B·w vanishes on Z, and
     * some u with Bᵀu = 0 and u = sign(r) off Z has |u_i| < 1 on all of Z.
 
-    The second condition is a margin LP: maximise t over those u subject
-    to |u_i| ≤ 1 − t on Z, one :func:`simplex_solve` over
-    (u_Z + 1 − t, 1 − t − u_Z, t) ≥ 0, which the fit's own dual makes
-    feasible at t = 0; the margin must exceed 1e−9.  rank(·) is the
-    numerical rank at 1e−10·σ_max(B).
+    The second condition is a margin: with c = −B_Z̄ᵀ·sign(r_Z̄) it is
+    1 − min{‖u‖∞ : B_Zᵀu = c} > 1e−9, which :func:`_fuchs_margin` computes
+    as one :func:`lad_fit`.  rank(·) is the numerical rank at
+    1e−10·σ_max(B).
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -526,16 +529,26 @@ def lad_fit_unique(B, y, fit: LpResult) -> bool:
         return False
     if not m:
         return True  # rank(B) = 0: the fitted signal is 0 for every z
-    sign = np.sign(r[~zero])
-    ones = np.ones(m)
-    A = np.block([
-        [BZ.T, np.zeros((B.shape[1], m)), (BZ.T @ ones)[:, None]],
-        [np.eye(m), np.eye(m), 2.0 * ones[:, None]],
-    ])
-    b = np.concatenate([BZ.T @ ones - B[~zero].T @ sign, 2.0 * ones])
-    c = np.zeros(2 * m + 1)
-    c[-1] = -1.0
-    return -simplex_solve(c, A, b).objective > 1e-9
+    return _fuchs_margin(BZ, -B[~zero].T @ np.sign(r[~zero])) > 1e-9
+
+
+def _fuchs_margin(BZ: np.ndarray, c: np.ndarray) -> float:
+    """1 − min{‖u‖∞ : B_Zᵀu = c}, for a c that some u with ‖u‖∞ ≤ 1 meets.
+
+    Norm duality gives min{‖u‖∞ : B_Zᵀu = c} = 1/min{‖B_Z·λ‖₁ : cᵀλ = 1}
+    for c ≠ 0.  With λ = c/‖c‖² + P·ν, P an orthonormal basis of c⊥ (the
+    last k − 1 right singular vectors of cᵀ), the minimum is the LAD fit of
+    y = B_Z·c/‖c‖² by −B_Z·P over ν; at k = 1, P has no columns and the fit
+    returns ‖y‖₁ without a step.  Some u with ‖u‖∞ ≤ 1 meets B_Zᵀu = c
+    (in :func:`lad_fit_unique`, the certified fit's own dual), so the
+    objective is at least 1, never 0.  c = 0 is met by u = 0: the margin
+    is 1.
+    """
+    cc = float(c @ c)
+    if cc == 0.0:
+        return 1.0
+    P = np.linalg.svd(c[None, :])[2][1:].T
+    return 1.0 - 1.0 / lad_fit(-BZ @ P, BZ @ c / cc).objective
 
 
 def _nnls(A, b) -> np.ndarray:

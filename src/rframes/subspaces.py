@@ -232,8 +232,8 @@ def build_nonuniform(p: int, r: int, N: int) -> NonUniformBankSpec:
         Hypothesis violations, and a repaired bank that the exact count
         finds is not a frame, which for r ∈ {1, 2} is r = 2 with 4 | N.
     """
-    if r not in (1, 2):
-        raise PreconditionError(f"repair ratio r must be 1 or 2, got {r}")
+    if not _is_int(r) or r not in (1, 2):
+        raise PreconditionError(f"repair ratio r must be 1 or 2, got {r!r}")
     dset = aliasing_divisors(p, N)  # validates p prime, p | N
     qs = divisors(N).divisors
     ratios = tuple(r if q in dset else p for q in qs)

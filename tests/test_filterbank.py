@@ -145,9 +145,11 @@ def test_round_trip_on_tight_banks(N, p, A, rng):
 
 
 def test_uniform_bank_refuses_a_non_integer():
-    # uniform_bank('6', 1) once raised a raw TypeError from N < 1; the check is
-    # in the cached body, so a repeated bad call raises again
-    for N, p in (("6", 1), (6, "1"), (6.0, 1), (6, 1.0), (True, 1), (6, True)):
+    # uniform_bank('6', 1) once raised a raw TypeError from N < 1, and a list a
+    # raw "unhashable" TypeError from the lru_cache; the check runs before the
+    # cache, so a repeated bad call raises again
+    for N, p in (("6", 1), (6, "1"), (6.0, 1), (6, 1.0), (True, 1), (6, True), ([6], 1),
+                 (6, [1])):
         for _ in range(2):
             with pytest.raises(PreconditionError, match="integers"):
                 uniform_bank(N, p)

@@ -41,6 +41,7 @@ def test_mobius_small_table():
     assert [mobius(n) for n in range(1, 17)] == expected
 
 
+@settings(derandomize=True, database=None)
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=400))
 def test_totient_multiplicative(a, b):
     if math.gcd(a, b) == 1:
@@ -65,11 +66,12 @@ def test_ramanujan_sum_matches_trig_oracle(N):
         assert np.allclose(got, want, atol=1e-8), (q, N)
 
 
-@settings(deadline=None)
-@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=8))
-def test_ramanujan_sum_trig_oracle_random(q, mult):
-    N = q * mult
-    assert np.allclose(ramanujan_sum(q, N), trig_ramanujan(q, N), atol=1e-8)
+def test_ramanujan_sum_trig_oracle_random():
+    # every (q, mult) pair the former random draw could pick, q ≤ 30 and mult ≤ 8
+    for q in range(1, 31):
+        for mult in range(1, 9):
+            N = q * mult
+            assert np.allclose(ramanujan_sum(q, N), trig_ramanujan(q, N), atol=1e-8), (q, N)
 
 
 def test_ramanujan_sum_listing_values():

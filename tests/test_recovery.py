@@ -635,6 +635,31 @@ def test_add_noise_refuses_a_non_finite_level():
                           add_noise(x, GaussianNoiseModel(10.0), seed=2))
 
 
+def test_add_noise_refuses_a_non_finite_vector():
+    # a NaN in x or in the sparse values came back as NaN entries, an inf as inf
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="NaN or inf"):
+            add_noise([1.0, bad], GaussianNoiseModel(10))
+        with pytest.raises(PreconditionError, match="NaN or inf"):
+            add_noise([1.0, 2.0], SparseNoiseModel(support=(0,), values=(bad,)))
+        with pytest.raises(PreconditionError, match="NaN or inf"):
+            add_noise([1.0, bad], SparseNoiseModel(support=(0,), values=(1.0,)))
+    for x in ([1.0, 1j], ["a", "b"], [[1.0, 2.0]]):
+        with pytest.raises(PreconditionError):
+            add_noise(x, GaussianNoiseModel(10))
+    assert add_noise([1, 2], SparseNoiseModel(support=(0,), values=(1,))).tolist() == [2.0, 2.0]
+
+
+def test_snr_db_refuses_a_non_finite_vector():
+    # a NaN anywhere in the signal or the error gave an SNR of NaN
+    x = np.array([3.0, 4.0])
+    for bad in (math.nan, math.inf, -math.inf):
+        for signal, error in (([3.0, bad], x), (x, [0.1, bad]), ([bad, 4.0], np.zeros(2))):
+            with pytest.raises(PreconditionError, match="NaN or inf"):
+                snr_db(signal, error)
+    assert np.isclose(snr_db([3, 4], [0.3, 0.4]), 20.0, atol=1e-12)
+
+
 def test_sparse_noise_model():
     x = np.zeros(8)
     y = add_noise(x, SparseNoiseModel(support=(1, 5), values=(2.0, -1.0)))

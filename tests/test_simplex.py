@@ -15,7 +15,9 @@ from rframes import (
     simplex_solve,
     uniform_bank,
 )
-from rframes.experiments import periodic_signal, sparse_top_channel, table1_rows, table2_rows
+from rframes.experiments import (
+    periodic_signal, run_tables, sparse_top_channel, table1_rows, table2_rows,
+)
 from rframes.recovery import coefficient_rows
 from rframes.simplex import l1_fit, lad_fit_unique, solve_l1_lp
 
@@ -587,3 +589,87 @@ def test_lad_fit_unique_on_the_degenerate_table1_program(monkeypatch):
     B, y = _table1_row4_fit(monkeypatch)
     assert not lad_fit_unique(B, y, lad_fit(B, y))
     assert _face_width(B, y) > 1e-2
+
+
+def _tableau_margin(B, y, fit):
+    """The uniqueness margin as one simplex_solve: max t over (u_Z + 1 − t, 1 − t − u_Z, t) ≥ 0.
+
+    The u with Bᵀu = 0 and u = sign(r) off Z must have |u_i| ≤ 1 − t on Z;
+    the fit's own dual makes t = 0 feasible.
+    """
+    zero = np.abs(fit.residual) <= simplex._snap_level(y)
+    BZ, m = B[zero], int(zero.sum())
+    ones = np.ones(m)
+    A = np.block([
+        [BZ.T, np.zeros((B.shape[1], m)), (BZ.T @ ones)[:, None]],
+        [np.eye(m), np.eye(m), 2.0 * ones[:, None]],
+    ])
+    b = np.concatenate([BZ.T @ ones - B[~zero].T @ np.sign(fit.residual[~zero]), 2.0 * ones])
+    c = np.zeros(2 * m + 1)
+    c[-1] = -1.0
+    return -simplex_solve(c, A, b).objective
+
+
+def _uniqueness_fits():
+    """The 70 table-2 denoise fits of seeds 0–9, then 300 seeded ternary fits."""
+    bank = uniform_bank(30, 1)
+    for seed in range(10):
+        for j, spec in enumerate(table2_rows()):
+            x = periodic_signal(30, spec["components"], seed=seed + 1000 + j)
+            y = recovery.add_noise(x, recovery.GaussianNoiseModel(spec["snr_in"]),
+                                   seed=seed + 2000 + j)
+            _, B, y, fit = recovery._denoise_fit(y, recovery.detect_support_set(y, bank, 0.45),
+                                                  bank)
+            yield B, y, fit
+    rng = np.random.default_rng(2)  # the draws of the face-width test, continued
+    for _ in range(300):
+        n, k = int(rng.integers(2, 12)), int(rng.integers(1, 4))
+        B = rng.integers(-1, 2, size=(n, k)).astype(float)
+        y = rng.integers(-2, 3, size=n).astype(float)
+        yield B, y, lad_fit(B, y)
+
+
+def test_lad_fit_unique_margin_matches_the_tableau_margin_lp(monkeypatch):
+    margins = []
+    real = simplex._fuchs_margin
+
+    def spy(BZ, c):
+        margins.append(real(BZ, c))
+        return margins[-1]
+
+    monkeypatch.setattr(simplex, "_fuchs_margin", spy)
+    verdicts = []
+    for B, y, fit in _uniqueness_fits():
+        margins.clear()
+        verdicts.append(lad_fit_unique(B, y, fit))
+        assert len(margins) == 1  # every fit here passes the rank test
+        want = _tableau_margin(B, y, fit)
+        assert abs(margins[0] - want) <= 1e-12, (margins[0], want)
+        assert verdicts[-1] == (want > 1e-9)
+    assert len(verdicts) == 370 and sum(verdicts) == 181
+
+
+def test_lad_fit_unique_margin_with_one_unknown():
+    # k = 1: c⊥ has no basis, so the margin fit has no columns and takes no step
+    B, y = np.array([[1.0], [2.0]]), np.array([1.0, 4.0])
+    fit = lad_fit(B, y)  # the weighted median z = 2 leaves r = (−1, 0)
+    assert fit.x.tolist() == [2.0] and fit.residual.tolist() == [-1.0, 0.0]
+    # c = −b₀·sign(r₀) = 1, and 2u = 1 gives ‖u‖∞ = 1/2
+    assert simplex._fuchs_margin(B[1:], np.array([1.0])) == 0.5
+    assert lad_fit_unique(B, y, fit)
+    empty = lad_fit(np.zeros((1, 0)), np.array([2.0]))
+    assert empty.objective == 2.0 and empty.iterations == 0
+    # equal weights: every z in [1, 4] is optimal, and the margin 1 − |−1| is 0
+    B = np.ones((2, 1))
+    fit = lad_fit(B, y)
+    assert simplex._fuchs_margin(B[:1], np.array([-1.0])) == 0.0
+    assert not lad_fit_unique(B, y, fit)
+
+
+def test_run_tables_never_reaches_the_tableau(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the library called simplex_solve")
+
+    monkeypatch.setattr(simplex, "simplex_solve", refuse)
+    tables = run_tables(seed=0)
+    assert [row["unique"] for row in tables["table2"]] == [False] * 4 + [True] + [False] * 2

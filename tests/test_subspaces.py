@@ -172,6 +172,20 @@ def test_aliasing_divisor_sets():
         aliasing_divisors(5, 12)
 
 
+def test_aliasing_divisors_and_build_nonuniform_refuse_a_non_integer():
+    # trial division of a float inf never ended, and 1.5 came back as the "prime" 1.5
+    inf = float("inf")
+    for p in (inf, 1.5, 3.0, True, "3", None):
+        with pytest.raises(PreconditionError):
+            aliasing_divisors(p, 6)
+    with pytest.raises(PreconditionError):
+        build_nonuniform(inf, 1, 12)
+    for r in (1.0, True):
+        with pytest.raises(PreconditionError):
+            build_nonuniform(3, r, 12)
+    assert build_nonuniform(np.int64(3), np.int64(1), 12).dset == (3, 6, 12)
+
+
 def test_nonuniform_bank_repairs_stride_three():
     spec = build_nonuniform(3, 1, 12)
     assert spec.dset == (3, 6, 12)

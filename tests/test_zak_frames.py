@@ -63,6 +63,18 @@ def test_zak_value_oracle_matches_transform():
                         assert np.isclose(Z[m, n], want, atol=1e-9), (N, qi, qj, k, n)
 
 
+def test_zak_value_oracle_refuses_non_integers():
+    # k = 1.0 raised a raw TypeError from math.gcd; N = 6.0 and q_j = True gave values
+    good = (1, 3, 1, 0, 6)
+    for slot in range(5):
+        for bad in (1.0 * good[slot], True, "1", None):
+            args = list(good)
+            args[slot] = bad
+            with pytest.raises(PreconditionError, match="integers"):
+                zak_value_oracle(*args)
+    assert zak_value_oracle(*map(np.int64, good)) == zak_value_oracle(*good)
+
+
 def test_polyphase_golden_matrices_n6():
     bank = uniform_bank(6, 2)
     for m in range(3):
