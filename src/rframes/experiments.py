@@ -15,7 +15,7 @@ import numpy as np
 from .errors import InternalError
 from .filterbank import RamanujanFilterBank, analyze, uniform_bank
 from .frames import classify_theorem_case, frame_report, polyphase_matrix
-from .numtheory import _factorize, divisors, totient
+from .numtheory import _factorize, _seeded_rng, divisors, totient
 from .recovery import (
     GaussianNoiseModel,
     SparseNoiseModel,
@@ -69,24 +69,24 @@ GOLDEN_U6 = {
 GOLDEN_U8_COLUMNS = {0: 0, 4: 1, 2: 2, 6: 2, 1: 3, 3: 3, 5: 3, 7: 3}
 
 
-def periodic_signal(N: int, periods, seed: int, balance: bool = True) -> np.ndarray:
+def periodic_signal(N: int, periods, seed: int) -> np.ndarray:
     """Random real signal with exact components on the given divisor subspaces.
 
-    Component coefficients are drawn standard normal; with balance=True each
-    component is rescaled to ‖x_q‖² = φ(q), which equalizes the channels'
-    gain-normalized output energies (the detection statistic).
+    Component coefficients are drawn standard normal, and each component is
+    rescaled to ‖x_q‖² = φ(q), which equalizes the channels' gain-normalized
+    output energies (the detection statistic).  A seed that is not an
+    integer ≥ 0 is a PreconditionError.
     """
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     x = np.zeros(N)
     for q in sorted(set(int(q) for q in periods)):
         basis = subspace_basis(1, q, N).basis
         comp = basis @ rng.standard_normal(basis.shape[1])
-        if balance:
+        nrm = float(np.linalg.norm(comp))
+        if nrm < 1e-12:  # probability-zero draw; keep the instance valid
+            comp = basis[:, 0]
             nrm = float(np.linalg.norm(comp))
-            if nrm < 1e-12:  # probability-zero draw; keep the instance valid
-                comp = basis[:, 0]
-                nrm = float(np.linalg.norm(comp))
-            comp *= np.sqrt(totient(q)) / nrm
+        comp *= np.sqrt(totient(q)) / nrm
         x += comp
     return x
 
@@ -139,7 +139,7 @@ _RECOVERY_MENU = [(6, 1), (12, 1), (18, 1), (24, 1), (36, 1), (48, 1),
 
 def recovery_instances(count: int, seed: int) -> list[RecoveryInstance]:
     """Seeded missing-sample instances with 2·#missing·#coeffs < p(d/φ(N))²."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     out = []
     for t in range(count):
         N, p = _RECOVERY_MENU[t % len(_RECOVERY_MENU)]
@@ -187,7 +187,7 @@ _DENOISE_MENU = [(6, 1), (12, 1), (24, 1), (36, 1), (6, 2), (18, 2)]
 
 def denoise_instances(count: int, seed: int) -> list[DenoiseInstance]:
     """Seeded single-spike denoise instances with 2·#membership·#noise < bound."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     out = []
     for t in range(count):
         N, p = _DENOISE_MENU[t % len(_DENOISE_MENU)]

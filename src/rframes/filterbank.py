@@ -309,12 +309,17 @@ def _checked_pairs(bank: RamanujanFilterBank, pairs) -> list[tuple[int, int]]:
     Raises
     ------
     PreconditionError
-        If an entry is not a pair of integers (floats, strings and bools are
-        refused, not truncated), or a pair is out of range or repeated.
+        If pairs is not iterable, an entry is not a pair of integers (floats,
+        strings and bools are refused, not truncated), or a pair is out of
+        range or repeated.
     """
     K = len(bank.channels)
     d = [bank.n // ch.p for ch in bank.channels]
     out: list[tuple[int, int]] = []
+    try:
+        pairs = iter(pairs)
+    except TypeError:
+        raise PreconditionError(f"coefficient pairs {pairs!r} are not an iterable of pairs") from None
     for pair in pairs:
         try:
             k, i = pair

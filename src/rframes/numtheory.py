@@ -42,6 +42,13 @@ def _is_finite_real(v) -> bool:
     return _is_int(v) or (isinstance(v, (float, np.floating)) and math.isfinite(v))
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """default_rng(seed) for an integer seed ≥ 0; any other seed is a PreconditionError."""
+    if not _is_int(seed) or seed < 0:
+        raise PreconditionError(f"need an integer seed >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _factorize(n):
     """Prime factorization as a dict {prime: exponent}; trial division.
 

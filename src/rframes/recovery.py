@@ -43,7 +43,7 @@ from .filterbank import (
     coefficient_rows,
     synthesize,
 )
-from .numtheory import _bin_owners, _is_finite_real, _is_int, divisors, totient
+from .numtheory import _bin_owners, _is_finite_real, _is_int, _seeded_rng, divisors, totient
 from .simplex import _least_distance, _rank, lad_fit
 
 __all__ = [
@@ -149,43 +149,43 @@ class _ChannelSystem:
     """Divisor q's erased shifts against the survivors' frame operator, in real Fourier coordinates.
 
     geo describes the orthonormal basis U of V_q
-    (:class:`~rframes.filterbank.ChannelGeometry`), and t = Uᵀ·observed.  On
-    a tight bank the kept rows R and the erased rows D of q satisfy
-    RᵀR = A·I − DᵀD, so the survivors' eigenvalue is lam_j = A − σ_j² on row
-    j of vt, D's right singular vectors, and A on every direction outside
-    vt's rows.  vt has no rows where no shift of q is erased, and is I
-    (lam = 0) where every one is.  lam ascends, and the first ``nulls`` rows
-    of vt, those with lam ≤ τ·A, are the directions the kept shifts miss.
+    (:class:`~rframes.filterbank.ChannelGeometry`).  The system depends on
+    the erasure pattern alone, never on a signal.  On a tight bank the kept
+    rows R and the erased rows D of q satisfy RᵀR = A·I − DᵀD, so the
+    survivors' eigenvalue is lam_j = A − σ_j² on row j of vt, D's right
+    singular vectors, and A on every direction outside vt's rows.  vt has no
+    rows where no shift of q is erased, and is I (lam = 0) where every one
+    is.  lam ascends, and the first ``nulls`` rows of vt, those with
+    lam ≤ τ·A, are the directions the kept shifts miss.
     """
 
     geo: ChannelGeometry
     vt: np.ndarray
     lam: np.ndarray
     nulls: int
-    t: np.ndarray
 
 
 def _pair_mask(bank: RamanujanFilterBank, pairs) -> np.ndarray:
     """The checked pairs of a uniform bank as a K×d mask, entry (i, k) set for pair (k, i)."""
-    k, i = np.array(_checked_pairs(bank, pairs), dtype=int).reshape(-1, 2).T
     keep = np.zeros((len(bank.channels), bank.n // bank.ratio), dtype=bool)
-    keep[i, k] = True
+    for k, i in _checked_pairs(bank, pairs):
+        keep[i, k] = True
     return keep
 
 
-def _channel_systems(observed, erased, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
+def _channel_systems(erased, bank: RamanujanFilterBank) -> list[_ChannelSystem]:
     """One :class:`_ChannelSystem` per divisor q of N, for a tight uniform bank.
 
     erased is the K×d mask of the erased pairs (:func:`_pair_mask`), so the
     pairs are checked once by the caller, and their order does not matter:
     each divisor's erased rows are taken k-ascending, over all of q's
     channels.  The rows L_{pk}c_q lie in V_q and the V_q are orthogonal, so
-    the coefficient constraints split by divisor, and one rfft of observed
-    gives every t.  A divisor with no shift erased, or with every one, takes
-    its closed form with no SVD.  Any other gathers its n_e erased rows
-    D = N·w·trig[sine, (p·k·g) mod N] from the bank's ``channel_geometry``
-    and takes the thin SVD of that n_e × φ(q) matrix (notes/decisions.md,
-    entry 15).
+    the coefficient constraints split by divisor.  A divisor with no shift
+    erased, or with every one, takes its closed form with no SVD.  Any
+    other gathers its n_e erased rows D = N·w·trig[sine, (p·k·g) mod N]
+    from the bank's ``channel_geometry`` and takes the thin SVD of that
+    n_e × φ(q) matrix (notes/decisions.md, entry 15).  Nothing here reads a
+    signal: a caller clears a divisor's rows from the mask to skip its SVD.
 
     Raises
     ------
@@ -194,7 +194,6 @@ def _channel_systems(observed, erased, bank: RamanujanFilterBank) -> list[_Chann
     """
     A = bank.tight_bound()
     N, p = bank.n, bank.ratio
-    X = np.fft.rfft(observed)
     qs = np.array(bank.qs)
     out = []
     for geo in bank.channel_geometry:
@@ -208,8 +207,7 @@ def _channel_systems(observed, erased, bank: RamanujanFilterBank) -> list[_Chann
             D = N * geo.w * geo.trig[geo.sine.astype(int), (p * ks[:, None] * geo.bins) % N]
             _, sv, vt = np.linalg.svd(D, full_matrices=False)
             lam = A - sv**2
-        t = geo.w * np.where(geo.sine, -X[geo.bins].imag, X[geo.bins].real)
-        out.append(_ChannelSystem(geo, vt, lam, np.count_nonzero(lam <= _SURVIVOR_TOL * A), t))
+        out.append(_ChannelSystem(geo, vt, lam, np.count_nonzero(lam <= _SURVIVOR_TOL * A)))
     return out
 
 
@@ -227,41 +225,51 @@ def _null_directions(N: int, system: _ChannelSystem) -> np.ndarray:
     return np.fft.irfft(_spectrum(N, system.geo, system.vt[: system.nulls]), n=N, axis=1).T
 
 
+def _null_basis(N: int, systems) -> np.ndarray | None:
+    """Every system's :func:`_null_directions` side by side (N×Σnulls), or None if there are none."""
+    null = [_null_directions(N, s) for s in systems if s.nulls]
+    return np.hstack(null) if null else None
+
+
 def _solve_channels(observed, pairs, bank: RamanujanFilterBank, killed=()) -> np.ndarray:
     """min ‖x′‖₁ over the x′ whose channels match observed, those in ``killed`` at zero.
 
+    One rfft of observed gives every channel's coordinates t = Uᵀ·observed.
     Channel q's particular solution is α_q = A·(RᵀR)⁺·t on its determined
     directions, R its kept rows: t off vt's rows, (A/lam)·t on its
     determined rows and zero on its null rows, so α_q = t where no shift is
-    erased.  A killed channel is determined entirely, at zero.  When every
-    channel is determined, the answer is the particular solution x_p;
-    otherwise the feasible set is x_p + span(Z), Z the orthonormal null
-    directions of the deficient channels, and the answer is x_p + Z·z, the
-    residual of the least-absolute-deviations fit of x_p by −Z.
+    erased.  A killed channel is determined entirely, at zero: its rows are
+    cleared from the erased mask first, so it is never factored, and its t
+    must carry no energy.  When every channel is determined, the answer is
+    the particular solution x_p; otherwise the feasible set is x_p + span(Z),
+    Z the orthonormal null directions of the deficient channels, and the
+    answer is x_p + Z·z, the residual of the least-absolute-deviations fit
+    of x_p by −Z.
     """
     observed = _checked_signal(observed, bank)
     A = bank.tight_bound()
     N = bank.n
+    erased = ~_pair_mask(bank, pairs)
+    erased[[q in killed for q in bank.qs]] = False
+    X = np.fft.rfft(observed)
     X_p = np.zeros(N // 2 + 1, dtype=complex)
-    null = []
-    for s in _channel_systems(observed, ~_pair_mask(bank, pairs), bank):
-        if s.geo.q in killed:
-            if np.linalg.norm(s.t) > 1e-7 * np.linalg.norm(observed):
+    systems = _channel_systems(erased, bank)
+    for s in systems:
+        geo = s.geo
+        t = geo.w * np.where(geo.sine, -X[geo.bins].imag, X[geo.bins].real)
+        if geo.q in killed:
+            if np.linalg.norm(t) > 1e-7 * np.linalg.norm(observed):
                 raise PreconditionError(
-                    f"observation has energy in channel {s.geo.q}, outside the declared periods"
+                    f"observation has energy in channel {geo.q}, outside the declared periods"
                 )
             continue
-        alpha = s.t
         if len(s.vt):  # some shift erased
             det = s.vt[s.nulls:]
-            alpha = s.t - s.vt.T @ (s.vt @ s.t) + det.T @ ((A / s.lam[s.nulls:]) * (det @ s.t))
-        X_p += _spectrum(N, s.geo, alpha[None, :])[0]
-        if s.nulls:
-            null.append(_null_directions(N, s))
+            t = t - s.vt.T @ (s.vt @ t) + det.T @ ((A / s.lam[s.nulls:]) * (det @ t))
+        X_p += _spectrum(N, geo, t[None, :])[0]
     x_p = np.fft.irfft(X_p, n=N)
-    if not null:
-        return x_p
-    return lad_fit(-np.hstack(null), x_p).residual
+    Z = _null_basis(N, systems)
+    return x_p if Z is None else lad_fit(-Z, x_p).residual
 
 
 def recover_missing(observed, pairs, bank: RamanujanFilterBank) -> np.ndarray:
@@ -293,14 +301,18 @@ def recover_missing_periodic(
     Raises
     ------
     PreconditionError
-        If periods is a string, or a period is not an integer divisor of N
-        (floats and bools are refused, not truncated), or the observation
-        carries energy (above 1e−7 relative) in a channel outside ``periods``.
+        If periods is a string or not iterable, or a period is not an integer
+        divisor of N (floats and bools are refused, not truncated), or the
+        observation carries energy (above 1e−7 relative) in a channel outside
+        ``periods``.
     """
     prof = divisors(bank.n)
     if isinstance(periods, str):
         raise PreconditionError(f"periods {periods!r} is a string, not a list of divisors")
-    periods = list(periods)
+    try:
+        periods = list(periods)
+    except TypeError:
+        raise PreconditionError(f"periods {periods!r} is not a list of divisors") from None
     for q in periods:
         if not _is_int(q) or q not in prof.divisors:
             raise PreconditionError(f"period {q!r} is not an integer divisor of N={bank.n}")
@@ -329,17 +341,13 @@ def membership_null_basis(bank: RamanujanFilterBank, pairs) -> np.ndarray:
         If the bank is not uniform and tight, a pair is malformed, or the
         subspace is trivial.
     """
-    null = [
-        _null_directions(bank.n, s)
-        for s in _channel_systems(np.zeros(bank.n), _pair_mask(bank, pairs), bank)
-        if s.nulls
-    ]
-    if not null:
+    Z = _null_basis(bank.n, _channel_systems(_pair_mask(bank, pairs), bank))
+    if Z is None:
         raise PreconditionError(
             "membership subspace is trivial: every signal consistent with the "
             "constraint set is zero"
         )
-    return np.hstack(null)
+    return Z
 
 
 def _nearest_optimum(B, y, fit) -> np.ndarray:
@@ -428,9 +436,9 @@ def detect_support_set(
     channel enter the membership set.
     """
     y = _checked_signal(y, bank)
-    if not 0.0 < threshold_factor < 1.0:
+    if not _is_finite_real(threshold_factor) or not 0.0 < threshold_factor < 1.0:
         raise PreconditionError(
-            f"threshold_factor must lie in (0, 1), got {threshold_factor}"
+            f"threshold_factor must be a real number in (0, 1), got {threshold_factor!r}"
         )
     phi = np.bincount(_bin_owners(bank.n))[list(bank.qs)]  # q owns exactly φ(q) bins
     norm = channel_energies(y, bank) / (bank.n * phi)
@@ -496,12 +504,13 @@ def _box_muller(rng: np.random.Generator, n: int) -> np.ndarray:
 def add_noise(x, model, seed: int = 0) -> np.ndarray:
     """Return x + η for the given noise model, deterministically under seed.
 
-    A signal, sparse value or level that is not real and finite is a
+    A signal, sparse value or level that is not real and finite, a sparse
+    index or a seed that is not an integer, or a negative seed is a
     PreconditionError.
     """
     x = _finite_vector(x, "signal")
     n = len(x)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if isinstance(model, GaussianNoiseModel):
         if not _is_finite_real(model.snr_db):
             raise PreconditionError(f"SNR must be a finite real number of dB, got {model.snr_db!r}")
@@ -512,7 +521,9 @@ def add_noise(x, model, seed: int = 0) -> np.ndarray:
         eta *= math.sqrt(px / float(eta @ eta)) * 10.0 ** (-model.snr_db / 20.0)
         return x + eta
     if isinstance(model, SparseNoiseModel):
-        support = [int(k) for k in model.support]
+        support = list(model.support)
+        if not all(_is_int(k) for k in support):
+            raise PreconditionError(f"sparse noise support {model.support!r} is not all integers")
         if len(set(support)) != len(support):
             raise PreconditionError("sparse noise support has duplicates")
         if any(not 0 <= k < n for k in support):

@@ -21,7 +21,7 @@ from .filterbank import (
     _SURVIVOR_TOL, Channel, RamanujanFilterBank, _checked_pairs, _checked_signal, _real_vector,
     coefficient_rows, uniform_bank,
 )
-from .numtheory import _bin_owners, _factorize, _is_int, _shift_rank, divisors, totient
+from .numtheory import _bin_owners, _factorize, _is_int, _seeded_rng, _shift_rank, divisors, totient
 
 __all__ = [
     "RamanujanSubspace",
@@ -386,12 +386,11 @@ def fusion_frame_check(p: int, N: int, draws: int = 20, seed: int = 0) -> Fusion
     bank.tight_bound()
     if not _is_int(draws) or draws < 1:
         raise PreconditionError(f"need an integer count of draws >= 1, got {draws!r}")
-    if not _is_int(seed) or seed < 0:
-        raise PreconditionError(f"need an integer seed >= 0, got {seed!r}")
+    rng = _seeded_rng(seed)
     qs = bank.qs
     owns = (_bin_owners(N)[:, None] == np.array(qs)).astype(float)  # bin × channel
     owners = owns.sum(axis=1)
-    X = np.random.default_rng(seed).standard_normal((draws, N))  # row t is draw t
+    X = rng.standard_normal((draws, N))  # row t is draw t
     energies = (np.abs(np.fft.fft(X, axis=1)) ** 2 / N @ owns).T  # channel × draw
     ratios = energies.sum(axis=0) / np.sum(X * X, axis=1)
     return FusionFrameReport(

@@ -22,6 +22,7 @@ from rframes import (
     denoise,
     divisors,
     frame_report,
+    membership_null_basis,
     recover_missing,
     recover_missing_periodic,
     robust_to_erasures,
@@ -52,7 +53,7 @@ def _drop(bank, fraction, draw):
 
 
 def _systems(bank, retained):
-    return _channel_systems(np.zeros(bank.n), ~_pair_mask(bank, retained), bank)
+    return _channel_systems(~_pair_mask(bank, retained), bank)
 
 
 def _null_dims(bank, retained):
@@ -211,6 +212,33 @@ def test_periodic_refuses_periods_that_are_not_integers():
     assert np.array_equal(got, want)
 
 
+def test_periodic_refuses_periods_that_are_not_iterable():
+    # 5 raised a raw TypeError from list(periods)
+    bank, x = _off_period_signal()
+    retained = all_pairs(bank)
+    observed = truncated_sum(x, retained, bank)
+    for periods in (5, None, 2.5):
+        with pytest.raises(PreconditionError, match="not a list of divisors"):
+            recover_missing_periodic(observed, retained, bank, periods)
+
+
+NOT_ITERABLE = {
+    "truncated_sum": lambda bank, x: truncated_sum(x, None, bank),
+    "recover_missing": lambda bank, x: recover_missing(x, 5, bank),
+    "membership_null_basis": lambda bank, x: membership_null_basis(bank, None),
+    "denoise": lambda bank, x: denoise(x, None, bank),
+    "robust_to_erasures": lambda bank, x: robust_to_erasures(1, 30, None),
+}
+
+
+@pytest.mark.parametrize("call", NOT_ITERABLE)
+def test_pair_sets_that_are_not_iterable_are_refused(call):
+    # each raised a raw TypeError from iterating the pair set
+    bank, x = _off_period_signal()
+    with pytest.raises(PreconditionError, match="not an iterable of"):
+        NOT_ITERABLE[call](bank, x)
+
+
 def test_cli_exits_2_on_energy_in_a_killed_channel(tmp_path, capsys):
     _, x = _off_period_signal()
     sig = str(tmp_path / "x.csv")
@@ -362,6 +390,39 @@ def test_a_first_recovery_takes_the_svd_only_on_partial_channels(monkeypatch):
     got = recover_missing(observed, retained, bank)
     assert calls == [(5, totient(2)), (5, totient(7))]
     assert np.array_equal(got, want)
+
+
+def _table1_row6():
+    bank = uniform_bank(70, 2)
+    missing = {(int(k), int(i)) for k, i in table1_rows()[5]["missing"]}
+    retained = [pr for pr in all_pairs(bank) if pr not in missing]
+    observed = truncated_sum(periodic_signal(70, (5, 7), seed=0), retained, bank)
+    return bank, missing, retained, observed
+
+
+def test_periodic_recovery_factors_only_the_listed_divisors(monkeypatch):
+    # the divisors outside (5, 7) are fixed at zero, so their erased rows are
+    # never factored: the parent took six SVDs here, one a 29×24 block of
+    # q = 35 that it then threw away
+    bank, missing, retained, observed = _table1_row6()
+    erased = {q: sum(bank.qs[i] == q for _, i in missing) for q in (5, 7)}
+    assert all(0 < n < bank.n // bank.ratio for n in erased.values())
+    calls = _counting_svd(monkeypatch)
+    recover_missing_periodic(observed, retained, bank, (5, 7))
+    assert calls == [(erased[5], totient(5)), (erased[7], totient(7))]
+
+
+def test_periodic_answer_ignores_erasures_in_the_killed_divisors():
+    # one observation, and the killed divisors lose every shift, half their
+    # shifts or none beyond table 1's: the same bits each time
+    bank, _, retained, observed = _table1_row6()
+    want = recover_missing_periodic(observed, retained, bank, (5, 7))
+    killed = [i for i, q in enumerate(bank.qs) if q not in (5, 7)]
+    for drop in (lambda k: True, lambda k: k % 2 == 0):
+        fewer = [(k, i) for k, i in retained if not (i in killed and drop(k))]
+        assert len(fewer) < len(retained)
+        assert np.array_equal(recover_missing_periodic(observed, fewer, bank, (5, 7)), want)
+    assert np.abs(want - periodic_signal(70, (5, 7), seed=0)).max() <= 1e-12
 
 
 def test_recovery_fits_exactly_where_the_erasures_leave_no_frame(monkeypatch):

@@ -441,6 +441,20 @@ def test_parser_is_built_once_and_calls_share_no_values(tmp_path, capsys):
     assert main(["frame-check", "--n", "6", "--p", "2"]) == 0
 
 
+@pytest.mark.parametrize("command", [["denoise", "--snr-db", "5"], ["reproduce", "tables"]])
+def test_cli_exits_2_on_a_seed_below_0(tmp_path, capsys, command):
+    # default_rng's ValueError used to end the run in a traceback
+    from rframes.experiments import periodic_signal
+
+    if command[0] == "denoise":
+        sig = str(tmp_path / "x.csv")
+        write_signal(sig, periodic_signal(30, (3, 5), seed=1))
+        command = [*command, "--signal", sig, "--n", "30", "--p", "1"]
+    assert main([*command, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "integer seed >= 0" in captured.err
+
+
 def test_sizes_above_the_limit_exit_2_before_any_bank_is_built(tmp_path, capsys, monkeypatch):
     def build(*args, **kwargs):
         raise AssertionError("an array was built for an oversized N")

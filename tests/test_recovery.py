@@ -593,6 +593,16 @@ def test_detect_validation():
         detect_support_set(np.zeros(12), bank, 0.45)
 
 
+def test_detect_refuses_a_threshold_that_is_not_a_real_number():
+    # the string and None raised a raw TypeError from the comparison
+    bank = uniform_bank(12, 1)
+    for bad in ("0.5", None, math.nan, True, [0.5]):
+        with pytest.raises(PreconditionError, match="threshold_factor"):
+            detect_support_set(np.ones(12), bank, bad)
+    assert detect_support_set(np.ones(12), bank, np.float64(0.5)) == \
+        detect_support_set(np.ones(12), bank, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # noise models
 
@@ -692,3 +702,29 @@ def test_instance_menus_respect_their_bounds():
     for inst in denoise_instances(6, seed=0):
         assert inst.condition < inst.bound
         assert len(inst.noise_support) == 1
+
+
+def test_add_noise_and_periodic_signal_refuse_a_seed_that_is_not_an_integer_at_least_0():
+    # -1 raised a raw ValueError from default_rng, 1.5 and "0" a raw TypeError
+    x = np.array([3.0, 4.0, -1.0])
+    for bad in (-1, 1.5, "0", None, True, np.int64(-2)):
+        with pytest.raises(PreconditionError, match="seed"):
+            add_noise(x, GaussianNoiseModel(10), seed=bad)
+        with pytest.raises(PreconditionError, match="seed"):
+            add_noise(x, SparseNoiseModel(support=(1,)), seed=bad)
+        with pytest.raises(PreconditionError, match="seed"):
+            periodic_signal(30, (3, 5), seed=bad)
+    assert np.array_equal(add_noise(x, GaussianNoiseModel(10), seed=np.int64(3)),
+                          add_noise(x, GaussianNoiseModel(10), seed=3))
+    assert np.array_equal(periodic_signal(30, (3, 5), seed=np.int64(3)),
+                          periodic_signal(30, (3, 5), seed=3))
+
+
+def test_sparse_noise_refuses_support_indices_that_are_not_integers():
+    # 1.5 was truncated to sample 1 without a word, "a" raised a raw ValueError
+    x = np.zeros(8)
+    for bad in ((1.5,), ("a",), (True,), (None,), (2, 3.0)):
+        with pytest.raises(PreconditionError, match="support"):
+            add_noise(x, SparseNoiseModel(support=bad, values=(1.0,) * len(bad)))
+    assert np.array_equal(add_noise(x, SparseNoiseModel(support=(np.int64(1),), values=(2.0,))),
+                          add_noise(x, SparseNoiseModel(support=(1,), values=(2.0,))))
