@@ -136,13 +136,31 @@ def cmd_period_id(args) -> int:
     return 0
 
 
-def cmd_recover(args) -> int:
+def _bank_and_signal(args) -> tuple[RamanujanFilterBank, np.ndarray]:
+    """The bank and --signal of recover and denoise, checked to have one length."""
     bank = _bank_from(args)
     x = read_signal(args.signal)
     if len(x) != bank.n:
-        raise PreconditionError(
-            f"signal length {len(x)} does not match bank N={bank.n}"
-        )
+        raise PreconditionError(f"signal length {len(x)} does not match bank N={bank.n}")
+    return bank, x
+
+
+def _gain_text(gain: float) -> str:
+    return f"SNR gain {gain:.4f} dB" if np.isfinite(gain) else "SNR gain inf dB"
+
+
+def _dump_signals(args, request: dict, response: dict, columns: dict, name: str) -> None:
+    """_dump, with signals.csv of the columns and column ``name`` as its own signal file."""
+    outdir = _outdir(args)
+    _dump(outdir, request, response)
+    if outdir:
+        write_csv(os.path.join(outdir, "signals.csv"), columns)
+        write_signal(os.path.join(outdir, f"{name}.{args.format}"), columns[name],
+                     fmt=args.format)
+
+
+def cmd_recover(args) -> int:
+    bank, x = _bank_and_signal(args)
     missing = _checked_pairs(bank, read_pairs(args.missing))
     missing_set = set(missing)
     retained = [pr for pr in all_pairs(bank) if pr not in missing_set]
@@ -156,9 +174,7 @@ def cmd_recover(args) -> int:
     snr_before = snr_db(x, x - observed)
     snr_after = snr_db(x, x - xhat)
     sup_err = float(np.abs(x - xhat).max())
-    print(f"sup error {sup_err:.6g}; SNR gain "
-          f"{snr_after - snr_before:.4f} dB" if np.isfinite(snr_after - snr_before)
-          else f"sup error {sup_err:.6g}; SNR gain inf dB")
+    print(f"sup error {sup_err:.6g}; " + _gain_text(snr_after - snr_before))
     request = {
         "command": "recover", "signal": args.signal, "missing": args.missing,
         "n": bank.n, "periods": list(periods) if periods else None,
@@ -172,37 +188,24 @@ def cmd_recover(args) -> int:
         "snr_gain_db": snr_after - snr_before,
         "sup_error": sup_err,
     }
-    outdir = _outdir(args)
-    _dump(outdir, request, response)
-    if outdir:
-        write_csv(os.path.join(outdir, "signals.csv"),
-                  {"original": x, "observed": observed, "recovered": xhat})
-        write_signal(os.path.join(outdir, f"recovered.{args.format}"), xhat,
-                     fmt=args.format)
+    _dump_signals(args, request, response,
+                  {"original": x, "observed": observed, "recovered": xhat}, "recovered")
     return 0
 
 
 def cmd_denoise(args) -> int:
-    bank = _bank_from(args)
-    x = read_signal(args.signal)
-    if len(x) != bank.n:
-        raise PreconditionError(
-            f"signal length {len(x)} does not match bank N={bank.n}"
-        )
-    if args.snr_db is not None:
-        y = add_noise(x, GaussianNoiseModel(args.snr_db), seed=args.seed)
-    else:
-        y = x.copy()
+    bank, x = _bank_and_signal(args)
+    noisy = args.snr_db is not None
+    y = add_noise(x, GaussianNoiseModel(args.snr_db), seed=args.seed) if noisy else x.copy()
     detected = detect_support_set(y, bank, args.threshold)
     log.info("detected channels %s", detected.channels)
     xhat = denoise(y, detected, bank)
-    snr_before = snr_db(x, y - x) if args.snr_db is not None else float("inf")
+    snr_before = snr_db(x, y - x) if noisy else float("inf")
     snr_after = snr_db(x, x - xhat)
     gain = snr_after - snr_before
     if gain != gain:  # inf − inf: noiseless input recovered exactly
         gain = float("inf")
-    print(f"channels {','.join(str(q) for q in detected.channels)}; "
-          + (f"SNR gain {gain:.4f} dB" if np.isfinite(gain) else "SNR gain inf dB"))
+    print(f"channels {','.join(str(q) for q in detected.channels)}; " + _gain_text(gain))
     request = {
         "command": "denoise", "signal": args.signal, "n": bank.n,
         "snr_db": args.snr_db, "threshold": args.threshold, "seed": args.seed,
@@ -215,28 +218,25 @@ def cmd_denoise(args) -> int:
         "snr_after_db": snr_after,
         "snr_gain_db": gain,
     }
-    outdir = _outdir(args)
-    _dump(outdir, request, response)
-    if outdir:
-        write_csv(os.path.join(outdir, "signals.csv"),
-                  {"original": x, "noisy": y, "denoised": xhat})
-        write_signal(os.path.join(outdir, f"denoised.{args.format}"), xhat,
-                     fmt=args.format)
+    _dump_signals(args, request, response,
+                  {"original": x, "noisy": y, "denoised": xhat}, "denoised")
     return 0
+
+
+# what reproduce runs for each target name, in the order the parser lists them
+_TARGETS = {
+    "examples": lambda seed: run_examples(),
+    "tables": lambda seed: run_tables(seed=seed),
+    "erasures": lambda seed: run_erasures(),
+    "fusion": lambda seed: run_fusion(),
+}
 
 
 def cmd_reproduce(args) -> int:
     outdir = _outdir(args)
     which = args.which
     log.info("reproduce %s (seed %d)", which, args.seed)
-    if which == "examples":
-        body = run_examples()
-    elif which == "erasures":
-        body = run_erasures()
-    elif which == "fusion":
-        body = run_fusion()
-    else:
-        body = run_tables(seed=args.seed)
+    body = _TARGETS[which](args.seed)
     request = {"command": "reproduce", "which": which, "seed": args.seed}
     if outdir:
         _dump(outdir, request, body)
@@ -322,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_den.set_defaults(func=cmd_denoise)
 
     p_rep = sub.add_parser("reproduce", help="run a reproduction driver")
-    p_rep.add_argument("which", choices=("examples", "tables", "erasures", "fusion"))
+    p_rep.add_argument("which", choices=tuple(_TARGETS))
     common(p_rep, "out", "seed")
     p_rep.set_defaults(func=cmd_reproduce)
 

@@ -19,6 +19,7 @@ from .numtheory import _factorize, _seeded_rng, divisors, totient
 from .recovery import (
     GaussianNoiseModel,
     SparseNoiseModel,
+    _checked_periods,
     _denoise_fit,
     add_noise,
     all_pairs,
@@ -74,9 +75,11 @@ def periodic_signal(N: int, periods, seed: int) -> np.ndarray:
 
     Component coefficients are drawn standard normal, and each component is
     rescaled to ‖x_q‖² = φ(q), which equalizes the channels' gain-normalized
-    output energies (the detection statistic).  A seed that is not an
-    integer ≥ 0 is a PreconditionError.
+    output energies (the detection statistic).  Periods that are a string,
+    not iterable or not integer divisors of N, and a seed that is not an
+    integer ≥ 0, are a PreconditionError.
     """
+    periods = _checked_periods(periods, divisors(N).divisors, N)
     rng = _seeded_rng(seed)
     x = np.zeros(N)
     for q in sorted(set(int(q) for q in periods)):
@@ -105,15 +108,26 @@ def sparse_top_channel(N: int) -> np.ndarray:
     return x
 
 
-def _coefficient_support(x, bank: RamanujanFilterBank, tol: float = 1e-8):
-    coeffs = analyze(x, bank)
-    cmax = max(float(np.abs(c).max()) for c in coeffs)
-    pairs = []
-    for i, c in enumerate(coeffs):
-        for k in range(len(c)):
-            if abs(c[k]) > tol * cmax:
-                pairs.append((k, i))
-    return pairs
+def _coefficient_support(x, bank: RamanujanFilterBank) -> tuple[tuple[int, int], ...]:
+    """The (k, i) pairs of x's coefficients above 1e−8 of the largest, channel-major."""
+    coeffs = np.abs(analyze(x, bank))  # K × d, so nonzero's row-major order is channel-major
+    i, k = np.nonzero(coeffs > 1e-8 * coeffs.max())
+    return tuple(zip(k.tolist(), i.tolist()))
+
+
+def _signed_scale(rng: np.random.Generator) -> float:
+    """±(0.5 + |n|), n standard normal: a random sign, then one normal draw."""
+    return float(rng.choice([-1.0, 1.0]) * (0.5 + abs(rng.standard_normal())))
+
+
+def _sparse_draw(rng: np.random.Generator, menu, t: int):
+    """Instance t's bank from menu, x a seeded shift and scale of its sparse
+    top-channel vector, x's coefficient support and the bound A/β_o², β_o = φ(N)."""
+    N, p = menu[t % len(menu)]
+    bank = uniform_bank(N, p)
+    shift = int(rng.integers(N))
+    x = _signed_scale(rng) * np.roll(sparse_top_channel(N), shift)
+    return bank, x, _coefficient_support(x, bank), bank.tight_bound() / totient(N) ** 2
 
 
 @dataclass(frozen=True)
@@ -142,13 +156,8 @@ def recovery_instances(count: int, seed: int) -> list[RecoveryInstance]:
     rng = _seeded_rng(seed)
     out = []
     for t in range(count):
-        N, p = _RECOVERY_MENU[t % len(_RECOVERY_MENU)]
-        bank = uniform_bank(N, p)
-        shift = int(rng.integers(N))
-        scale = float(rng.choice([-1.0, 1.0]) * (0.5 + abs(rng.standard_normal())))
-        x = scale * np.roll(sparse_top_channel(N), shift)
-        support = _coefficient_support(x, bank)
-        bound = bank.tight_bound() / totient(N) ** 2  # A/β_o², β_o = φ(N)
+        bank, x, support, bound = _sparse_draw(rng, _RECOVERY_MENU, t)
+        N, p = bank.n, bank.ratio
         room = int(np.floor((bound - 1e-9) / (2 * len(support))))
         if room < 1:
             raise InternalError(f"menu entry (N={N}, p={p}) leaves no missing-budget")
@@ -190,19 +199,13 @@ def denoise_instances(count: int, seed: int) -> list[DenoiseInstance]:
     rng = _seeded_rng(seed)
     out = []
     for t in range(count):
-        N, p = _DENOISE_MENU[t % len(_DENOISE_MENU)]
-        bank = uniform_bank(N, p)
-        shift = int(rng.integers(N))
-        scale = float(rng.choice([-1.0, 1.0]) * (0.5 + abs(rng.standard_normal())))
-        x = scale * np.roll(sparse_top_channel(N), shift)
-        membership = tuple(_coefficient_support(x, bank))
-        bound = bank.tight_bound() / totient(N) ** 2  # A/β_o², β_o = φ(N)
+        bank, x, membership, bound = _sparse_draw(rng, _DENOISE_MENU, t)
+        N, p = bank.n, bank.ratio
         condition = 2.0 * len(membership) * 1
         if condition >= bound:
             raise InternalError(f"menu entry (N={N}, p={p}) violates the bound")
         pos = int(rng.integers(N))
-        value = float(rng.choice([-1.0, 1.0]) * (0.5 + abs(rng.standard_normal())))
-        value *= float(np.abs(x).max())
+        value = _signed_scale(rng) * float(np.abs(x).max())
         y = add_noise(x, SparseNoiseModel(support=(pos,), values=(value,)))
         out.append(DenoiseInstance(
             n=N, p=p, bank=bank, x=x, y=y, membership=membership,

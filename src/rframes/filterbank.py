@@ -289,12 +289,8 @@ def uniform_bank(N: int, p: int) -> RamanujanFilterBank:
 
 @lru_cache(maxsize=32, typed=True)
 def _uniform_bank(N: int, p: int) -> RamanujanFilterBank:
-    if N < 1:
-        raise PreconditionError(f"need N >= 1, got {N}")
-    if p < 1 or N % p:
-        raise PreconditionError(f"decimation ratio p={p} must divide N={N}")
-    prof = divisors(N)
-    return RamanujanFilterBank(N, tuple(Channel(q, p) for q in prof.divisors))
+    # divisors checks N >= 1 and the bank checks p | N
+    return RamanujanFilterBank(N, tuple(Channel(q, p) for q in divisors(N).divisors))
 
 
 uniform_bank.cache_clear = _uniform_bank.cache_clear

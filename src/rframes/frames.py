@@ -47,7 +47,13 @@ def zak(x, p: int) -> np.ndarray:
     with no 1/√d factor (any extra normalization there would contradict
     unitarity; both are verified in the test suite).
     """
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+        numeric = x.ndim == 1 and x.dtype.kind in "biufc"
+    except ValueError:  # ragged nesting
+        numeric = False
+    if not numeric:
+        raise PreconditionError("zak needs a vector of numbers")
     N = len(x)
     if not _is_int(p) or p < 1 or N % p:
         raise PreconditionError(f"stride p={p!r} must be an integer that divides N={N}")
@@ -73,9 +79,7 @@ def polyphase_matrix(bank: RamanujanFilterBank, m: int) -> np.ndarray:
     full column rank p for every m, and the frame bounds are the extreme
     eigenvalues of U*(m)U(m) over m.
     """
-    if not bank.uniform:
-        raise PreconditionError("polyphase analysis requires a uniform bank")
-    p = bank.ratio
+    p = bank.ratio  # raises on a bank that is not uniform
     d = bank.n // p
     if not _is_int(m) or not 0 <= m < d:
         raise PreconditionError(f"frequency index m={m!r} outside Z_{d}")
@@ -137,9 +141,7 @@ def frame_report(bank: RamanujanFilterBank) -> FrameReport:
     PreconditionError
         Non-uniform bank.
     """
-    if not bank.uniform:
-        raise PreconditionError("polyphase analysis requires a uniform bank")
-    N, p = bank.n, bank.ratio
+    N, p = bank.n, bank.ratio  # bank.ratio raises on a bank that is not uniform
     d = N // p
     # q(−f) = q(f): row m's bins −m + jd share the owners of m + jd, column m
     owners = np.sort(_bin_owners(N).reshape(p, d).T, axis=1)  # each owner's t_q bins in one run

@@ -43,7 +43,7 @@ from .filterbank import (
     coefficient_rows,
     synthesize,
 )
-from .numtheory import _bin_owners, _is_finite_real, _is_int, _seeded_rng, divisors, totient
+from .numtheory import _bin_owners, _is_finite_real, _is_int, _seeded_rng, totient
 from .simplex import _least_distance, _rank, lad_fit
 
 __all__ = [
@@ -301,12 +301,26 @@ def recover_missing_periodic(
     Raises
     ------
     PreconditionError
-        If periods is a string or not iterable, or a period is not an integer
-        divisor of N (floats and bools are refused, not truncated), or the
-        observation carries energy (above 1e−7 relative) in a channel outside
-        ``periods``.
+        If the bank is not tight, periods is a string or not iterable, or a
+        period is not an integer divisor of N (floats and bools are refused,
+        not truncated), or the observation carries energy (above 1e−7
+        relative) in a channel outside ``periods``.
     """
-    prof = divisors(bank.n)
+    bank.tight_bound()  # first: a tight bank has a channel at every divisor of N
+    periods = _checked_periods(periods, bank.qs, bank.n)
+    killed = {q for q in bank.qs if q not in periods}
+    return _solve_channels(observed, pairs, bank, killed)
+
+
+def _checked_periods(periods, qs, N: int) -> list:
+    """periods as a list, each an integer among the divisors qs of N.
+
+    Raises
+    ------
+    PreconditionError
+        If periods is a string or not iterable, or a period is not an
+        integer divisor of N (floats and bools are refused, not truncated).
+    """
     if isinstance(periods, str):
         raise PreconditionError(f"periods {periods!r} is a string, not a list of divisors")
     try:
@@ -314,10 +328,9 @@ def recover_missing_periodic(
     except TypeError:
         raise PreconditionError(f"periods {periods!r} is not a list of divisors") from None
     for q in periods:
-        if not _is_int(q) or q not in prof.divisors:
-            raise PreconditionError(f"period {q!r} is not an integer divisor of N={bank.n}")
-    killed = {q for q in prof.divisors if q not in periods}
-    return _solve_channels(observed, pairs, bank, killed)
+        if not _is_int(q) or q not in qs:
+            raise PreconditionError(f"period {q!r} is not an integer divisor of N={N}")
+    return periods
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +399,6 @@ def _nearest_optimum(B, y, fit) -> np.ndarray:
 def _denoise_fit(y, membership, bank: RamanujanFilterBank):
     """denoise's x̂, with the membership basis B, the checked y and lad_fit's fit of y by B."""
     y = _checked_signal(y, bank)
-    bank.tight_bound()
     B = membership_null_basis(bank, getattr(membership, "pairs", membership))
     fit = lad_fit(B, y)
     return _nearest_optimum(B, y, fit), B, y, fit
@@ -435,7 +447,6 @@ def detect_support_set(
     from the filters' wildly different gains.  All d shifts of each retained
     channel enter the membership set.
     """
-    y = _checked_signal(y, bank)
     if not _is_finite_real(threshold_factor) or not 0.0 < threshold_factor < 1.0:
         raise PreconditionError(
             f"threshold_factor must be a real number in (0, 1), got {threshold_factor!r}"
@@ -521,7 +532,12 @@ def add_noise(x, model, seed: int = 0) -> np.ndarray:
         eta *= math.sqrt(px / float(eta @ eta)) * 10.0 ** (-model.snr_db / 20.0)
         return x + eta
     if isinstance(model, SparseNoiseModel):
-        support = list(model.support)
+        try:
+            support = list(model.support)
+        except TypeError:
+            raise PreconditionError(
+                f"sparse noise support {model.support!r} is not a list of indices"
+            ) from None
         if not all(_is_int(k) for k in support):
             raise PreconditionError(f"sparse noise support {model.support!r} is not all integers")
         if len(set(support)) != len(support):

@@ -19,7 +19,7 @@ pivoting discipline, :class:`_Pivots`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -309,24 +309,15 @@ def solve_l1_lp(A, b, weights=None) -> LpResult:
 def l1_fit(B, y) -> LpResult:
     """Minimize ‖y − Bz‖₁ over z; returns z with the residual's ℓ1 norm as objective.
 
-    Standard form via z = z⁺ − z⁻ and residual r = r⁺ − r⁻ with
-    Bz + r = y and cost on the residual parts only: :func:`simplex_solve` on
-    N rows and 2(N + k) columns.  The library fits with :func:`lad_fit`;
-    this form stays as its independent oracle.
+    The weighted case of :func:`solve_l1_lp`: v = (z, r) with [B  I]·v = y,
+    weight 0 on z and 1 on the residual r, so a tableau solve on N rows.
+    The library fits with :func:`lad_fit`; this form stays as its
+    independent oracle.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     m, k = B.shape
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != m:
-        raise PreconditionError(f"y has {y.shape[0]} entries, B has {m} rows")
-    A = np.hstack([B, -B, np.eye(m), -np.eye(m)])
-    c = np.concatenate([np.zeros(2 * k), np.ones(2 * m)])
-    res = simplex_solve(c, A, y)
-    z = res.x[:k] - res.x[k : 2 * k]
-    return LpResult(
-        x=z, objective=res.objective, iterations=res.iterations,
-        phase1_iterations=res.phase1_iterations, dropped_rows=res.dropped_rows,
-    )
+    res = solve_l1_lp(np.hstack([B, np.eye(m)]), y, weights=np.r_[np.zeros(k), np.ones(m)])
+    return replace(res, x=res.x[:k])
 
 
 def lad_fit(B, y) -> LpResult:
@@ -372,9 +363,14 @@ def lad_fit(B, y) -> LpResult:
     then takes the face's point nearest y); :func:`lad_fit_unique` says
     whether the fitted signal is determined.
     """
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    try:
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
+    except (TypeError, ValueError):  # strings, ragged nesting, complex values
+        raise PreconditionError("B and y must be arrays of real numbers") from None
+    if B.ndim != 2:
+        raise PreconditionError(f"B of shape {B.shape} is not a matrix")
     n, k = B.shape
-    y = np.asarray(y, dtype=float).ravel()
     if y.shape[0] != n:
         raise PreconditionError(f"y has {y.shape[0]} entries, B has {n} rows")
     _require_finite(B=B, y=y)

@@ -90,9 +90,15 @@ def orthonormalize(cols: np.ndarray) -> np.ndarray:
     """Orthonormal columns with the span of cols, from one Householder QR.
 
     Column j is flipped to the sign of R_jj, which makes it the vector
-    Gram–Schmidt would produce from the first j + 1 columns.
+    Gram–Schmidt would produce from the first j + 1 columns.  Anything but
+    a matrix of real numbers is a PreconditionError.
     """
-    cols = np.asarray(cols, dtype=float)
+    try:
+        cols = np.asarray(cols, dtype=float)
+    except (TypeError, ValueError):  # strings, ragged nesting, complex values
+        raise PreconditionError("orthonormalize needs a matrix of real numbers") from None
+    if cols.ndim != 2:
+        raise PreconditionError(f"orthonormalize needs a matrix, got shape {cols.shape}")
     Q, R = np.linalg.qr(cols)
     diag = np.diagonal(R)
     if len(diag) < cols.shape[1] or (np.abs(diag) < 1e-12).any():
@@ -436,11 +442,14 @@ def fusion_after_local_erasures(p: int, N: int, erased_sets) -> FusionErasureRep
     """
     bank = uniform_bank(N, p)
     K = len(bank.channels)
-    if len(erased_sets) != K:
+    try:
+        sets = [list(s) for s in erased_sets]  # _survivor_bounds checks each k
+    except TypeError:
         raise PreconditionError(
-            f"need one erased set per channel ({K}), got {len(erased_sets)}"
-        )
-    sets = [list(s) for s in erased_sets]  # _survivor_bounds checks each k
+            f"erased sets {erased_sets!r} are not a sequence of shift collections"
+        ) from None
+    if len(sets) != K:
+        raise PreconditionError(f"need one erased set per channel ({K}), got {len(sets)}")
     lmax = max(map(len, sets), default=0)
     borderline = False
     if lmax > 2:

@@ -165,6 +165,9 @@ def test_synthesize_guards():
     yt = analyze(np.ones(6), tight)
     with pytest.raises(PreconditionError):
         synthesize(yt[:-1], tight)
+    for bad in (yt[2][:-1], np.append(yt[2], 0.0)):  # one channel of the wrong length
+        with pytest.raises(PreconditionError, match="channel 2: expected 3 coefficients"):
+            synthesize(yt[:2] + [bad] + yt[3:], tight)
 
 
 def test_parseval_energy_budget(rng):

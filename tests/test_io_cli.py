@@ -483,3 +483,52 @@ def test_atomic_writes_leave_no_temp_files(tmp_path):
     write_signal(str(tmp_path / "b.csv"), np.ones(3))
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
     assert leftovers == []
+
+
+
+def test_cli_exits_3_on_a_solver_error(tmp_path, capsys, monkeypatch):
+    import rframes.recovery as recovery
+    from rframes.errors import SolverError
+    from rframes.experiments import periodic_signal
+
+    def fail(B, y):
+        raise SolverError("stalled")
+
+    monkeypatch.setattr(recovery, "lad_fit", fail)
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, periodic_signal(30, (3, 5), seed=1))
+    assert main(["denoise", "--signal", sig, "--n", "30", "--p", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "solver error: stalled\n"
+
+
+def test_cli_reproduce_without_out_prints_the_body(capsys):
+    from rframes.experiments import run_examples
+
+    assert main(["reproduce", "examples"]) == 0
+    assert capsys.readouterr().out == json_dumps(run_examples()) + "\n"
+
+
+def test_cli_recover_exits_2_on_a_period_that_is_not_an_integer(tmp_path, capsys):
+    from rframes.experiments import periodic_signal
+
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, periodic_signal(70, (5, 7), seed=0))
+    missing = str(tmp_path / "m.json")
+    write_pairs(missing, [(0, 3)])
+    argv = ["recover", "--signal", sig, "--missing", missing, "--n", "70", "--p", "2"]
+    assert main([*argv, "--periods", "5,x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad --periods value '5,x'" in captured.err
+    assert main([*argv, "--periods", "5,7"]) == 0
+
+
+def test_cli_noiseless_exact_denoise_reports_an_infinite_gain(tmp_path, capsys):
+    # a constant signal is denoised exactly: inf − inf is reported as inf
+    sig = str(tmp_path / "x.csv")
+    write_signal(sig, np.ones(30))
+    out = tmp_path / "den"
+    assert main(["denoise", "--signal", sig, "--n", "30", "--p", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "channels 1; SNR gain inf dB\n"
+    resp = json.loads((out / "response.json").read_text())
+    assert resp["snr_before_db"] == resp["snr_after_db"] == resp["snr_gain_db"] == "inf"

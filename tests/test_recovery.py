@@ -728,3 +728,36 @@ def test_sparse_noise_refuses_support_indices_that_are_not_integers():
             add_noise(x, SparseNoiseModel(support=bad, values=(1.0,) * len(bad)))
     assert np.array_equal(add_noise(x, SparseNoiseModel(support=(np.int64(1),), values=(2.0,))),
                           add_noise(x, SparseNoiseModel(support=(1,), values=(2.0,))))
+
+
+def test_periodic_signal_refuses_periods_that_are_not_integer_divisors():
+    # int(q) read 2.5 as period 2, 3.0 and "3" as 3 and True as 1, without a word
+    for bad in ((2.5,), (3, 5.0), ("3",), (True, 5), (7,), (0,)):
+        with pytest.raises(PreconditionError, match="period"):
+            periodic_signal(30, bad, seed=0)
+    assert np.array_equal(periodic_signal(30, np.array([5, 3, 3]), seed=2),
+                          periodic_signal(30, (3, 5), seed=2))
+
+
+def test_periodic_signal_refuses_periods_that_are_not_iterable():
+    # 5 raised a raw TypeError from the loop, and the string "35" acted as (3, 5)
+    for bad in (5, None, 2.5, "35"):
+        with pytest.raises(PreconditionError, match="list of divisors"):
+            periodic_signal(30, bad, seed=0)
+
+
+def test_sparse_noise_refuses_a_support_that_is_not_iterable():
+    # support=5 raised a raw TypeError from list(model.support)
+    for bad in (5, None, 1.5):
+        with pytest.raises(PreconditionError, match="support"):
+            add_noise(np.zeros(8), SparseNoiseModel(support=bad, values=(1.0,)))
+
+
+def test_recovery_refuses_a_signal_of_the_wrong_length():
+    bank = uniform_bank(30, 1)
+    pairs = all_pairs(bank)
+    for bad in (np.ones(29), np.ones(31)):
+        with pytest.raises(PreconditionError, match="does not match bank N 30"):
+            recover_missing(bad, pairs, bank)
+        with pytest.raises(PreconditionError, match="does not match bank N 30"):
+            detect_support_set(bad, bank, 0.45)

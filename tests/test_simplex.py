@@ -673,3 +673,14 @@ def test_run_tables_never_reaches_the_tableau(monkeypatch):
     monkeypatch.setattr(simplex, "simplex_solve", refuse)
     tables = run_tables(seed=0)
     assert [row["unique"] for row in tables["table2"]] == [False] * 4 + [True] + [False] * 2
+
+
+def test_lad_fit_refuses_input_that_is_not_a_real_array():
+    # "a" raised a raw ValueError from the float conversion, [[1j]] a TypeError,
+    # and a 3-D B a ValueError from the shape unpacking
+    for B, y in (("a", np.ones(30)), (np.ones((3, 1)), ["a", "b", "c"]),
+                 ([[1.0], [2.0, 3.0]], np.ones(2)), ([[1j], [2.0]], np.ones(2))):
+        with pytest.raises(PreconditionError, match="arrays of real numbers"):
+            lad_fit(B, y)
+    with pytest.raises(PreconditionError, match="not a matrix"):
+        lad_fit(np.ones((3, 1, 1)), np.ones(3))

@@ -700,3 +700,22 @@ def test_orthonormalize_rejects_dependent_columns():
         orthonormalize(np.column_stack([c, np.roll(c, 2)]))  # c_4(n − 2) = −c_4(n)
     with pytest.raises(subspaces.InternalError):
         orthonormalize(np.eye(3, 4))  # more columns than rows
+
+
+def test_fusion_erasures_refuse_erased_sets_that_are_not_sequences():
+    # None raised a raw TypeError from len(), and [5] * 8 one from list(5)
+    for bad in (None, 5, [5] * 8, [[0]] * 7 + [None]):
+        with pytest.raises(PreconditionError, match="erased sets"):
+            fusion_after_local_erasures(1, 30, bad)
+    assert fusion_after_local_erasures(1, 12, iter([[0]] * 6)) == fusion_after_local_erasures(
+        1, 12, [[0]] * 6)
+
+
+def test_orthonormalize_refuses_input_that_is_not_a_matrix():
+    # True and a vector raised a raw LinAlgError, "a" a ValueError, [[1j]] a TypeError
+    for bad in (True, 5.0, np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(PreconditionError, match="matrix, got shape"):
+            orthonormalize(bad)
+    for bad in ("a", [["a", "b"]], [[1.0], [2.0, 3.0]], [[1j]]):
+        with pytest.raises(PreconditionError, match="matrix of real numbers"):
+            orthonormalize(bad)

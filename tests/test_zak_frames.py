@@ -326,3 +326,12 @@ def test_frame_operator_identity_for_tight_banks(rng):
         assert np.allclose(S, rep.A * np.eye(N), atol=1e-8 * rep.A)
         x = rng.standard_normal(N)
         assert np.allclose(S @ x, rep.A * x, rtol=1e-9)
+
+
+def test_zak_refuses_a_signal_that_is_not_a_numeric_vector():
+    # 5 raised a raw TypeError, a matrix a ValueError, strings a DTypePromotionError
+    for bad in (5, [[1, 2], [3, 4]], ["a", "b"], [[1], [2, 3]], None):
+        with pytest.raises(PreconditionError, match="vector of numbers"):
+            zak(bad, 1)
+    z = np.array([1j, 2.0, -1.0, 0.5j])  # complex signals are transformed as before
+    assert np.allclose(zak_inverse(zak(z, 2)), z, atol=1e-12)
